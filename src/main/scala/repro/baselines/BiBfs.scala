@@ -1,61 +1,27 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
+import repro.core.BiSearch
 import repro.graph.Traversal
-import scala.collection.mutable
 
 /** Search-based baseline (paper §6.1): bi-directional BFS on the FULL graph with no
   * sketch bounds, alternating sides by visited-set size, followed by the same reverse
   * search as QbS to emit all shortest-path edges.
   *
-  * Uses the same frontier-join machinery as QbS's guided search so online timings
-  * compare like for like.
+  * It is the no-sketch instance of QbS's search core ([[BiSearch.bibfs]]), so online
+  * timings compare like for like on either substrate: `QueryEngine.graph` (the
+  * driver-local arrays `QbS.query` uses) or cached symmetric edges as a DataFrame.
   */
 object BiBfs {
 
   final case class Result(edges: Set[(Long, Long)], distance: Option[Int],
                           levels: Int, edgesTraversed: Long, millis: Double)
 
-  def spg(gSym: DataFrame, u: Long, v: Long, maxLevels: Int = 64): Result = {
-    val t0 = System.nanoTime()
-    val c = new Traversal.Counters
-    if (u == v)
-      return Result(Set.empty, Some(0), 0, 0, (System.nanoTime() - t0) / 1e6)
-
-    val depthU = mutable.HashMap[Long, Int](u -> 0)
-    val depthV = mutable.HashMap[Long, Int](v -> 0)
-    var frontierU: Set[Long] = Set(u)
-    var frontierV: Set[Long] = Set(v)
-    var dU = 0; var dV = 0
-    var meet: Set[Long] = Set.empty
-
-    while (meet.isEmpty && dU + dV < maxLevels &&
-           frontierU.nonEmpty && frontierV.nonEmpty) {
-      if (depthU.size <= depthV.size) {
-        val nbr = Traversal.neighborEdges(gSym, frontierU, c)
-        val newF = nbr.iterator.map(_._2).filterNot(depthU.contains).toSet
-        dU += 1
-        newF.foreach(depthU(_) = dU)
-        frontierU = newF
-        meet = newF.filter(depthV.contains)
-      } else {
-        val nbr = Traversal.neighborEdges(gSym, frontierV, c)
-        val newF = nbr.iterator.map(_._2).filterNot(depthV.contains).toSet
-        dV += 1
-        newF.foreach(depthV(_) = dV)
-        frontierV = newF
-        meet = newF.filter(depthU.contains)
-      }
-    }
-
-    if (meet.isEmpty)
-      return Result(Set.empty, None, c.levels, c.edgesTraversed,
-        (System.nanoTime() - t0) / 1e6)
-
-    val m = meet.filter(x => depthU(x) + depthV(x) == dU + dV)
-    val edges = Traversal.walkBackMulti(gSym,
-      Seq((m, dU, depthU), (m, dV, depthV)), c)
-    Result(edges, Some(dU + dV), c.levels, c.edgesTraversed,
-      (System.nanoTime() - t0) / 1e6)
+  def spg(g: Traversal.Graph, u: Long, v: Long): Result = {
+    val r = BiSearch.bibfs(g, u, v)
+    Result(r.edges, r.distance, r.levels, r.edgesTraversed, r.millis)
   }
+
+  /** Bi-BFS over cached symmetric edges, one DataFrame join per level. */
+  def spg(gSym: DataFrame, u: Long, v: Long): Result = spg(new Traversal.Frames(gSym), u, v)
 }

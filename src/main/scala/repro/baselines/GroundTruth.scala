@@ -6,7 +6,7 @@ import repro.graph.{Bfs, GraphOps}
 
 /** Reference shortest-path-graph computation: two full BFSs (GraphX) and the
   * edge filter `d(u,a) + 1 + d(b,v) = d(u,v)`. Exact by construction; used as the
-  * in-Spark oracle for QbS and the baselines, and as the landmark-endpoint fallback.
+  * in-Spark oracle for QbS and the baselines.
   */
 object GroundTruth {
 

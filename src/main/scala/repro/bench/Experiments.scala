@@ -103,16 +103,15 @@ object Experiments {
       (nonLm(rnd.nextInt(nonLm.length)), nonLm(rnd.nextInt(nonLm.length)))
     }.filter(p => p._1 != p._2)
 
-    val gSym = GraphOps.materialize(GraphOps.symmetric(edges))
-
     var coverage = Map("all" -> 0, "some" -> 0, "none" -> 0)
     val qbsRuns = pairs.map { case (u, v) =>
       val a = QbS.query(qbsIndex, u, v)
       coverage = coverage.updated(QbS.coverage(a), coverage(QbS.coverage(a)) + 1)
       (a.millis, a.edgesTraversed.toDouble)
     }
+    // Bi-BFS runs on the same driver-local substrate as QbS.query: the engine's G
     val bibfsRuns = pairs.map { case (u, v) =>
-      val r = BiBfs.spg(gSym, u, v)
+      val r = BiBfs.spg(qbsIndex.engine.graph, u, v)
       (r.millis, r.edgesTraversed.toDouble)
     }
     def qstats(runs: Seq[(Double, Double)]): QueryStats =
@@ -138,7 +137,7 @@ object Experiments {
     log(f"query avg: QbS ${qstats(qbsRuns).avgMs}%.0fms  BiBFS ${qstats(bibfsRuns).avgMs}%.0fms")
 
     // release per-dataset caches
-    Seq(edges, gSym, qbsIndex.labels, qbsIndex.delta, qbsIndex.gMinusSym, qbsIndex.edges)
+    Seq(edges, qbsIndex.labels, qbsIndex.delta, qbsIndex.gMinusSym, qbsIndex.edges)
       .foreach(_.unpersist(blocking = false))
 
     Measurement(spec, stats, cfg.numLandmarks,

@@ -3,22 +3,15 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.graph.Traversal
-import scala.collection.mutable
 
-/** Online phase 2 of QbS: Algorithm 4 — sketch-guided search.
+/** Online phase 2 of QbS: Algorithm 4, sketch-guided search, on the DataFrame-join
+  * substrate.
   *
-  * Three stages on the sparsified graph `G⁻ = G[V \ R]` (a cached symmetric edge
-  * DataFrame; frontiers expand via broadcast joins, bookkeeping on the driver):
-  *
-  *  1. bi-directional BFS bounded by `d⊤_uv`, sides picked by Eq. (4) bounds then by
-  *     visited-set size;
-  *  2. reverse search from the meeting set (shortest paths inside `G⁻`);
-  *  3. recover search from label anchors plus the precomputed landmark-pair SPGs `Δ`
-  *     (shortest paths through landmarks).
-  *
-  * Which of stages 2/3 run follows Eq. (5): reverse iff the searches met
-  * (`d_{G⁻} ≤ d⊤`), recover iff `d⊤` is finite and no strictly-shorter `G⁻` path
-  * exists (`d_{G⁻} ≥ d⊤`).
+  * `QbS.query` runs the same search ([[BiSearch.guided]]) on the driver-local arrays
+  * of [[QueryEngine]]. This entry point keeps the index's cached DataFrames as the
+  * substrate: `G⁻ = G[V \ R]` as symmetric edges (frontiers expand via broadcast
+  * joins), the label relation and `Δ`. It answers exactly as `QbS.query` does, with
+  * the same counters, at about one Spark job per level and fetch.
   */
 object GuidedSearch {
 
@@ -29,146 +22,39 @@ object GuidedSearch {
                           usedReverse: Boolean, usedRecover: Boolean,
                           levels: Int, edgesTraversed: Long, millis: Double)
 
-  /** Labels of `vs` for landmark `r`, fetched from the cached label DataFrame. */
-  private def labelsFor(labels: DataFrame, r: Long, vs: Iterable[Long]): Map[Long, Int] =
-    labelsForMulti(labels, Seq(r -> vs.toSet)).map { case ((_, v), d) => v -> d }
-
-  /** One batched fetch for several (landmark, candidate-set) requests — a single
-    * Spark job regardless of how many sketch terminals need anchor labels. A
-    * broadcast join keeps the plan small even for thousands of candidates (an
-    * `isin` of that size would blow up the Catalyst expression tree).
+  /** The DataFrame substrate: cached `G⁻` edges, labels `(v, lm, dist)` and `Δ`
+    * `(r, rp, src, dst)`.
     */
-  private def labelsForMulti(labels: DataFrame,
-                             reqs: Seq[(Long, Set[Long])]): Map[(Long, Long), Int] = {
-    val pairs = reqs.flatMap { case (r, vs) => vs.iterator.map(v => (r, v)) }
-    if (pairs.isEmpty) return Map.empty
-    val spark = labels.sparkSession
-    import spark.implicits._
-    val req = spark.createDataset(pairs).toDF("qlm", "qv")
-    labels.join(broadcast(req), col("lm") === col("qlm") && col("v") === col("qv"))
-      .select("lm", "v", "dist").collect()
-      .map(row => (row.getLong(0), row.getLong(1)) -> row.getInt(2)).toMap
+  private final class LabelledFrames(gMinusSym: DataFrame, labelsDf: DataFrame,
+                                     deltaDf: DataFrame)
+      extends Traversal.Frames(gMinusSym) with BiSearch.Substrate {
+
+    /** One batched fetch for several (landmark, candidate-set) requests: a single
+      * Spark job however many terminals need anchor labels. A broadcast join keeps
+      * the plan small even for thousands of candidates (an `isin` of that size would
+      * blow up the Catalyst expression tree).
+      */
+    def labels(reqs: Seq[(Long, collection.Set[Long])]): Map[(Long, Long), Int] = {
+      val pairs = reqs.flatMap { case (r, vs) => vs.iterator.map(v => (r, v)) }
+      if (pairs.isEmpty) return Map.empty
+      val spark = labelsDf.sparkSession
+      import spark.implicits._
+      val req = spark.createDataset(pairs).toDF("qlm", "qv")
+      labelsDf.join(broadcast(req), col("lm") === col("qlm") && col("v") === col("qv"))
+        .select("lm", "v", "dist").collect()
+        .map(row => (row.getLong(0), row.getLong(1)) -> row.getInt(2)).toMap
+    }
+
+    def delta(metaEdges: Set[(Long, Long)]): Iterator[(Long, Long)] = {
+      val cond = metaEdges.iterator.map { case (a, b) =>
+        col("r") === math.min(a, b) && col("rp") === math.max(a, b)
+      }.reduce(_ || _)
+      deltaDf.filter(cond).select("src", "dst").collect()
+        .iterator.map(row => (row.getLong(0), row.getLong(1)))
+    }
   }
 
   def run(gMinusSym: DataFrame, labels: DataFrame, delta: DataFrame,
-          sketch: Sketch.S, maxLevels: Int = 64): Result = {
-    val t0 = System.nanoTime()
-    val c = new Traversal.Counters
-    val u = sketch.u; val v = sketch.v
-    val INF = Int.MaxValue / 4
-    val dTop = sketch.dTop.getOrElse(INF)
-
-    // --- Stage 1: bounded bi-directional BFS on G⁻ ---------------------------------
-    val depthU = mutable.HashMap[Long, Int](u -> 0)
-    val depthV = mutable.HashMap[Long, Int](v -> 0)
-    var frontierU: Set[Long] = Set(u)
-    var frontierV: Set[Long] = Set(v)
-    var dU = 0; var dV = 0
-    var meet: Set[Long] = Set.empty
-
-    while (meet.isEmpty && dU + dV < dTop && dU + dV < maxLevels &&
-           (frontierU.nonEmpty || frontierV.nonEmpty)) {
-      // pick_search: prefer sides whose sketch bound is not yet reached (Eq. 4),
-      // break ties by smaller visited set; a dead frontier disqualifies a side.
-      val canU = frontierU.nonEmpty; val canV = frontierV.nonEmpty
-      val wantU = canU && sketch.dStarU > dU
-      val wantV = canV && sketch.dStarV > dV
-      val pickU =
-        if (wantU != wantV) wantU
-        else if (canU != canV) canU
-        else depthU.size <= depthV.size
-
-      if (pickU) {
-        val nbr = Traversal.neighborEdges(gMinusSym, frontierU, c)
-        val newF = nbr.iterator.map(_._2).filterNot(depthU.contains).toSet
-        dU += 1
-        newF.foreach(depthU(_) = dU)
-        frontierU = newF
-        meet = newF.filter(depthV.contains)
-      } else {
-        val nbr = Traversal.neighborEdges(gMinusSym, frontierV, c)
-        val newF = nbr.iterator.map(_._2).filterNot(depthV.contains).toSet
-        dV += 1
-        newF.foreach(depthV(_) = dV)
-        frontierV = newF
-        meet = newF.filter(depthU.contains)
-      }
-    }
-
-    val dGminus = if (meet.nonEmpty) Some(dU + dV) else None
-    val distance = (dGminus, sketch.dTop) match {
-      case (Some(a), Some(b)) => Some(math.min(a, b))
-      case (a, b)             => a.orElse(b)
-    }
-
-    val out = mutable.Set.empty[(Long, Long)]
-    // reverse walks from all stages run in lockstep: one frontier join per level
-    val walks = mutable.ArrayBuffer.empty[(Set[Long], Int, collection.Map[Long, Int])]
-
-    // --- Stage 2: reverse search (paths inside G⁻) ----------------------------------
-    val usedReverse = meet.nonEmpty
-    if (usedReverse) {
-      // All meet vertices sit at exactly (dU, dV); keep the filter as a guard.
-      val m = meet.filter(x => depthU(x) + depthV(x) == dU + dV)
-      walks += ((m, dU, depthU))
-      walks += ((m, dV, depthV))
-    }
-
-    // --- Stage 3: recover search (paths through landmarks) --------------------------
-    val usedRecover = sketch.dTop.isDefined && dGminus.forall(_ == dTop)
-    if (usedRecover) {
-      def recoverSide(terminals: Map[Long, Int], depthT: mutable.HashMap[Long, Int],
-                      dT: Int): Unit = {
-        // one batched anchor-label fetch for all terminals of this side
-        val reqs = terminals.toSeq.map { case (r, sig) =>
-          val dm = math.min(sig - 1, dT)
-          r -> depthT.iterator.collect { case (w, d) if d == dm => w }.toSet
-        }
-        val anchorLabels = labelsForMulti(labels, reqs)
-        for ((r, sig) <- terminals) {
-          val dm = math.min(sig - 1, dT)
-          val candidates = depthT.iterator.collect { case (w, d) if d == dm => w }.toSeq
-          val anchors = candidates
-            .filter(w => anchorLabels.get((r, w)).contains(sig - dm)).toSet
-          if (anchors.nonEmpty) {
-            // forward: anchors -> r along label-decreasing G⁻ neighbours, then the
-            // final hop (w, r) once δ = 1 (the label certifies the edge exists)
-            var cur = anchors
-            var dlt = sig - dm
-            while (dlt > 1 && cur.nonEmpty) {
-              val nbr = Traversal.neighborEdges(gMinusSym, cur, c)
-              val cand = nbr.iterator.map(_._2).toSet
-              val nl = labelsFor(labels, r, cand)
-              val valid = cand.filter(w => nl.get(w).contains(dlt - 1))
-              nbr.foreach { case (a, b) =>
-                if (valid.contains(b)) out += ((math.min(a, b), math.max(a, b)))
-              }
-              cur = valid
-              dlt -= 1
-            }
-            cur.foreach(w => out += ((math.min(w, r), math.max(w, r))))
-            // backward: anchors -> query vertex along the BFS depths
-            walks += ((anchors, dm, depthT))
-          }
-        }
-      }
-      recoverSide(sketch.terminalsU, depthU, dU)
-      recoverSide(sketch.terminalsV, depthV, dV)
-
-      // shortest paths between the sketch's landmarks: precomputed Δ segments
-      if (sketch.metaEdges.nonEmpty) {
-        val pairs = sketch.metaEdges.map { case (a, b) => (math.min(a, b), math.max(a, b)) }
-        val cond = pairs.map { case (a, b) =>
-          (col("r") === a && col("rp") === b)
-        }.reduce(_ || _)
-        delta.filter(cond).select("src", "dst").collect()
-          .foreach(row => out += ((row.getLong(0), row.getLong(1))))
-      }
-    }
-
-    out ++= Traversal.walkBackMulti(gMinusSym, walks.toSeq, c)
-
-    Result(out.toSet, distance, usedReverse, usedRecover,
-      c.levels, c.edgesTraversed, (System.nanoTime() - t0) / 1e6)
-  }
+          sketch: Sketch.S): Result =
+    BiSearch.guided(new LabelledFrames(gMinusSym, labels, delta), sketch)
 }

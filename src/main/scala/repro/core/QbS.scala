@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.graph.GraphOps
 
 /** Query-by-Sketch, end to end: offline index construction (labelling + meta-graph +
@@ -9,17 +8,28 @@ import repro.graph.GraphOps
   */
 object QbS {
 
-  /** The offline-built QbS index.
+  /** The offline-built QbS index. Queries run on its [[Index.engine]]; the cached
+    * DataFrames are what the engine was collected from, and remain the substrate of
+    * [[GuidedSearch.run]] and `BiBfs.spg(DataFrame, …)`.
     *
     * @param labels     cached `(v, lm, dist)` path labelling `L`
     * @param meta       driver-side meta-graph with APSP (§5.2 precomputation)
     * @param delta      cached `(r, rp, src, dst)` landmark-pair SPG segments `Δ`
     * @param gMinusSym  cached symmetric edges of `G⁻ = G[V \ R]`
-    * @param edges      cached canonical edges of `G` (landmark-endpoint fallback)
+    * @param edges      cached canonical edges of `G`
     */
   final case class Index(landmarks: Seq[Long], labels: DataFrame, meta: MetaGraph,
                          delta: DataFrame, gMinusSym: DataFrame, edges: DataFrame,
-                         labelEntries: Long, deltaEntries: Long, buildMillis: Double)
+                         labelEntries: Long, deltaEntries: Long, buildMillis: Double) {
+
+    /** The index collected into the driver-local [[QueryEngine]] that [[query]] runs
+      * on. [[assemble]] builds it eagerly; an `Index` constructed from its fields
+      * collects it on first use.
+      */
+    lazy val engine: QueryEngine = prebuilt.getOrElse(
+      QueryEngine.collect(landmarks, edges, labels, delta))
+    private[core] var prebuilt: Option[QueryEngine] = None
+  }
 
   /** Result of one `SPG(u, v)` query: canonical edge set plus diagnostics. */
   final case class Answer(u: Long, v: Long, edges: Set[(Long, Long)],
@@ -41,7 +51,8 @@ object QbS {
   }
 
   /** Assemble the index around an already-computed labelling (lets benches time the
-    * labelling phase separately from the shared Δ/sparsify/cache phase).
+    * labelling phase separately from the shared Δ/sparsify/cache phase), and collect
+    * its query engine, whose arrays also give the label and Δ counts.
     */
   def assemble(spark: SparkSession, canonicalEdges: DataFrame,
                lab: Labelling.Result, t0: Long = System.nanoTime()): Index = {
@@ -51,36 +62,36 @@ object QbS {
     val gMinusSym = GraphOps.materialize(
       GraphOps.symmetric(GraphOps.sparsify(canonicalEdges, landmarks)))
     val cached = GraphOps.materialize(canonicalEdges)
-    Index(landmarks, lab.labels, meta, delta, gMinusSym, cached,
-      labelEntries = lab.labels.count(), deltaEntries = delta.count(),
+    val engine = QueryEngine.collect(landmarks, cached, lab.labels, delta)
+    val index = Index(landmarks, lab.labels, meta, delta, gMinusSym, cached,
+      engine.labelEntries, engine.deltaEntries,
       buildMillis = (System.nanoTime() - t0) / 1e6)
+    index.prebuilt = Some(engine)
+    index
   }
 
-  /** Answer `SPG(u, v)`.
+  /** Answer `SPG(u, v)` on the index's [[QueryEngine]], without any Spark job.
     *
-    * Landmark endpoints are not covered by the labelling scheme (Def. 4.2 assigns
-    * labels to `V \ R` only); the paper's random query pairs virtually never hit the
-    * 20 landmarks, and ours are excluded in benches. For API robustness a landmark
-    * endpoint falls back to the ground-truth double-BFS (documented in DESIGN.md).
+    *  - `u == v`: no edges, distance 0 (whether or not `u` is a vertex).
+    *  - An id that is not a vertex of `G`: no edges, distance None, and no search.
+    *  - A landmark endpoint: Def. 4.2 labels only `V \ R`, so the pair is answered by
+    *    the Bi-BFS instance of the search core on the full `G` (reported as
+    *    coverage "all": every shortest path contains the landmark endpoint).
+    *  - Otherwise: labels, sketch (Algorithm 3) and guided search (Algorithm 4) on
+    *    `G⁻`.
     */
   def query(index: Index, u: Long, v: Long): Answer = {
     val t0 = System.nanoTime()
-    if (u == v)
-      return Answer(u, v, Set.empty, Some(0), usedReverse = false,
-        usedRecover = false, 0, 0, (System.nanoTime() - t0) / 1e6)
-    if (index.landmarks.contains(u) || index.landmarks.contains(v)) {
-      val gt = repro.baselines.GroundTruth.spg(index.edges, u, v)
-      return Answer(u, v, gt.edges, gt.distance, usedReverse = false,
-        usedRecover = true, 0, 0, (System.nanoTime() - t0) / 1e6)
-    }
-    val lab = index.labels.filter(col("v").isin(u, v))
-      .select("v", "lm", "dist").collect()
-    val labelsU = lab.filter(_.getLong(0) == u)
-      .map(r => r.getLong(1) -> r.getInt(2)).toMap
-    val labelsV = lab.filter(_.getLong(0) == v)
-      .map(r => r.getLong(1) -> r.getInt(2)).toMap
-    val sketch = Sketch.compute(index.meta, u, v, labelsU, labelsV)
-    val res = GuidedSearch.run(index.gMinusSym, index.labels, index.delta, sketch)
+    val e = index.engine
+    val res =
+      if (u == v || !e.contains(u) || !e.contains(v))
+        GuidedSearch.Result(Set.empty, if (u == v) Some(0) else None,
+          usedReverse = false, usedRecover = false, 0, 0, 0)
+      else if (e.isLandmark(u) || e.isLandmark(v))
+        BiSearch.bibfs(e.graph, u, v).copy(usedReverse = false, usedRecover = true)
+      else
+        BiSearch.guided(e.sparsified,
+          Sketch.compute(index.meta, u, v, e.labelsOf(u), e.labelsOf(v)))
     Answer(u, v, res.edges, res.distance, res.usedReverse, res.usedRecover,
       res.levels, res.edgesTraversed, (System.nanoTime() - t0) / 1e6)
   }

@@ -1,84 +1,43 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{broadcast, col}
 
-/** Frontier-at-a-time traversal primitives for online queries.
+/** Frontier expansion, the one graph operation online searches need.
   *
-  * Point queries keep per-query bookkeeping (depth maps, sketch bounds) on the
-  * driver and expand frontiers level-by-level with one DataFrame join per level:
-  * the (small) frontier is broadcast against the (large, cached) symmetric edge
-  * relation. This is the online half of the paper's design — the heavy state stays
-  * distributed, the search control loop is cheap.
+  * A [[Traversal.Graph]] is a substrate the bidirectional search core
+  * (`repro.core.BiSearch`) runs on. Two exist: the driver-local arrays of
+  * `repro.core.QueryEngine`, which answer `QbS.query`, and [[Traversal.Frames]], which
+  * expands a frontier with one DataFrame join per level: the (small) frontier is
+  * broadcast against the (large, cached) symmetric edge relation.
   */
 object Traversal {
 
-  /** Mutable per-query accounting: levels run and edges touched by joins. */
-  final class Counters {
-    var levels: Int = 0
-    var edgesTraversed: Long = 0L
+  /** An undirected graph that can expand a frontier. */
+  trait Graph {
+
+    /** Calls `f(w, x)` once per symmetric edge `(w, x)` with `w ∈ frontier`. */
+    def expand(frontier: collection.Set[Long])(f: (Long, Long) => Unit): Unit
+  }
+
+  /** The DataFrame-join substrate over cached symmetric edges. */
+  class Frames(symEdges: DataFrame) extends Graph {
+    def expand(frontier: collection.Set[Long])(f: (Long, Long) => Unit): Unit =
+      neighborEdges(symEdges, frontier).foreach { case (w, x) => f(w, x) }
   }
 
   /** All `(w, neighbor)` pairs with `w ∈ frontier`, via one broadcast join against
-    * `symEdges`. Result size is the total degree of the frontier.
+    * `symEdges`. Result size is the total degree of the frontier; an empty frontier
+    * runs no Spark job.
     */
-  def neighborEdges(symEdges: DataFrame, frontier: Iterable[Long],
-                    counters: Counters): Array[(Long, Long)] = {
+  def neighborEdges(symEdges: DataFrame, frontier: Iterable[Long]): Array[(Long, Long)] = {
     if (frontier.isEmpty) return Array.empty
     val spark = symEdges.sparkSession
     import spark.implicits._
     val f = spark.createDataset(frontier.toSeq).toDF("fv")
-    val out = symEdges.join(broadcast(f), col("src") === col("fv"))
+    symEdges.join(broadcast(f), col("src") === col("fv"))
       .select(col("src"), col("dst"))
       .collect()
       .map(r => (r.getLong(0), r.getLong(1)))
-    counters.levels += 1
-    counters.edgesTraversed += out.length
-    out
-  }
-
-  /** Walk one BFS level back toward the root: from `cur` (all at `level`), return the
-    * edges `(x, y)` with `x ∈ cur` and `depth(y) = level - 1`, plus the predecessor
-    * set. Canonical edge orientation is NOT applied here.
-    */
-  def stepBack(symEdges: DataFrame, cur: Set[Long], level: Int,
-               depth: collection.Map[Long, Int],
-               counters: Counters): (Array[(Long, Long)], Set[Long]) = {
-    val nbr = neighborEdges(symEdges, cur, counters)
-    val keep = nbr.filter { case (_, y) => depth.get(y).contains(level - 1) }
-    (keep, keep.iterator.map(_._2).toSet)
-  }
-
-  /** Full reverse walk from `startSet` (all at `startLevel`) down to depth 0,
-    * collecting canonical edges on shortest paths w.r.t. `depth`.
-    */
-  def walkBack(symEdges: DataFrame, startSet: Set[Long], startLevel: Int,
-               depth: collection.Map[Long, Int],
-               counters: Counters): Set[(Long, Long)] =
-    walkBackMulti(symEdges, Seq((startSet, startLevel, depth)), counters)
-
-  /** Several reverse walks in lockstep — one frontier join per level tick for the
-    * UNION of all walks, each filtered against its own depth map on the driver.
-    * Halves the job count of a bi-directional reverse search (u-side and v-side
-    * walks share every expansion).
-    */
-  def walkBackMulti(symEdges: DataFrame,
-                    starts: Seq[(Set[Long], Int, collection.Map[Long, Int])],
-                    counters: Counters): Set[(Long, Long)] = {
-    val edges = Set.newBuilder[(Long, Long)]
-    var active = starts.filter { case (s, lvl, _) => s.nonEmpty && lvl > 0 }
-    while (active.nonEmpty) {
-      val frontier = active.iterator.flatMap(_._1).toSet
-      val nbr = neighborEdges(symEdges, frontier, counters)
-      active = active.flatMap { case (set, lvl, depth) =>
-        val keep = nbr.filter { case (x, y) =>
-          set.contains(x) && depth.get(y).contains(lvl - 1)
-        }
-        keep.foreach { case (a, b) => edges += ((math.min(a, b), math.max(a, b))) }
-        val prev = keep.iterator.map(_._2).toSet
-        if (lvl - 1 > 0 && prev.nonEmpty) Some((prev, lvl - 1, depth)) else None
-      }
-    }
-    edges.result()
   }
 }

@@ -1,5 +1,8 @@
 package repro
 
+import java.util.concurrent.{CountDownLatch, TimeUnit}
+import java.util.concurrent.atomic.AtomicInteger
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
@@ -16,6 +19,35 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** Runs `f` and counts the Spark jobs it starts, with a `SparkListener`. Listener
+    * events arrive asynchronously, so a sentinel job runs after `f`: once the listener
+    * has seen it, it has seen every job `f` started.
+    */
+  def jobsStartedBy[A](f: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val group = s"counted-${System.nanoTime()}"
+    val sentinel = s"$group-sentinel"
+    val jobs = new AtomicInteger
+    val flushed = new CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull match {
+          case `group`    => jobs.incrementAndGet()
+          case `sentinel` => flushed.countDown()
+          case _          =>
+        }
+    }
+    sc.addSparkListener(listener)
+    try {
+      sc.setJobGroup(group, "counted")
+      val a = try f finally sc.clearJobGroup()
+      sc.setJobGroup(sentinel, "listener flush")
+      try sc.parallelize(Seq(1), 1).count() finally sc.clearJobGroup()
+      assert(flushed.await(60, TimeUnit.SECONDS), "the sentinel job never reached the listener")
+      (a, jobs.get)
+    } finally sc.removeSparkListener(listener)
+  }
 }
 
 object SparkSpec {

@@ -1,7 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.functions.col
 import repro.{Fixtures, SparkSpec}
-import repro.graph.{GraphOps, GraphOracle}
+import repro.baselines.BiBfs
+import repro.graph.{GraphOps, GraphOracle, LocalGraph}
 
 /** End-to-end QbS (labelling + sketching + guided search) against the paper's
   * worked example, the in-Spark ground truth, and the DuckDB oracle.
@@ -92,6 +94,54 @@ class QbsSpec extends SparkSpec {
     }
     val a = QbS.query(idx, u, v)
     assert(a.edges.isEmpty && a.distance === None)
+  }
+
+  test("unknown ids: empty answer and no distance, without a search") {
+    for ((u, v) <- Seq((6L, 99L), (99L, 6L), (1L, 99L), (98L, 99L))) {
+      val a = QbS.query(index, u, v)
+      assert(a.edges.isEmpty && a.distance === None, s"pair ($u,$v)")
+      assert(a.levels === 0 && a.edgesTraversed === 0, s"pair ($u,$v)")
+    }
+    val same = QbS.query(index, 99L, 99L)
+    assert(same.edges.isEmpty && same.distance === Some(0))
+  }
+
+  test("no level cap: a 70-hop G⁻ path on a 300-cycle with one hub landmark") {
+    // The hub hangs off vertex 0 (plus leaves that make it the top-degree vertex), so
+    // d⊤(100, 170) = 101 + 131 = 232 while the cycle path has 70 hops. Stage 1 must
+    // search past 64 levels to find it.
+    val cycle = (0L until 300L).map(i => (i, (i + 1) % 300))
+    val hub = (1001L to 1005L).map(leaf => (1000L, leaf)) :+ ((0L, 1000L))
+    val local = LocalGraph((cycle ++ hub).toArray)
+    val df = GraphOps.materialize(GraphOps.fromPairs(spark, cycle ++ hub))
+    assert(GraphOps.topDegreeLandmarks(df, 1) === Seq(1000L))
+    // With one landmark every label is the plain BFS distance from it and there are
+    // no meta-edges, so the labelling is computed on the driver: the Pregel would
+    // need ~150 supersteps (minutes) to cross the cycle.
+    val labels = {
+      import spark.implicits._
+      local.bfs(1000L).toSeq.collect { case (x, d) if x != 1000L => (x, 1000L, d) }
+        .toDF("v", "lm", "dist")
+    }
+    val idx = QbS.assemble(spark, df,
+      Labelling.Result(Seq(1000L), GraphOps.materialize(labels), Seq.empty))
+    val (u, v) = (100L, 170L)
+    val truth = (100L until 170L).map(i => (i, i + 1)).toSet
+    assert(local.spg(u, v) === truth && local.distance(u, v) === Some(70))
+
+    val a = QbS.query(idx, u, v)
+    assert(a.distance === Some(70) && a.edges === truth)
+    val lab = idx.labels.filter(col("v").isin(u, v)).select("v", "lm", "dist").collect()
+    def labelsOf(x: Long) = lab.filter(_.getLong(0) == x).map(r => r.getLong(1) -> r.getInt(2)).toMap
+    val sketch = Sketch.compute(idx.meta, u, v, labelsOf(u), labelsOf(v))
+    assert(sketch.dTop === Some(232))
+    val frames = GuidedSearch.run(idx.gMinusSym, idx.labels, idx.delta, sketch)
+    assert(frames.distance === Some(70) && frames.edges === truth)
+
+    val gSym = GraphOps.materialize(GraphOps.symmetric(df))
+    for (r <- Seq(BiBfs.spg(idx.engine.graph, u, v), BiBfs.spg(gSym, u, v)))
+      assert(r.distance === Some(70) && r.edges === truth)
+    Seq(gSym, df, idx.labels, idx.delta, idx.gMinusSym).foreach(_.unpersist())
   }
 
   for (seed <- 1L to 4L; nLm <- Seq(2, 5)) {

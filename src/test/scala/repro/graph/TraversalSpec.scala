@@ -2,48 +2,31 @@ package repro.graph
 
 import repro.{Fixtures, SparkSpec}
 
-/** Frontier-expansion primitives used by all online searches. */
+/** The DataFrame frontier-expansion primitive behind the DataFrame substrate. Work
+  * counting lives in the search core (`repro.core.BiSearchSpec`).
+  */
 class TraversalSpec extends SparkSpec {
 
   private lazy val sym =
     GraphOps.materialize(GraphOps.symmetric(Fixtures.fig4Df(spark)))
 
   test("neighborEdges returns the full neighbourhood of the frontier") {
-    val c = new Traversal.Counters
-    val got = Traversal.neighborEdges(sym, Seq(6L), c).toSet
+    val got = Traversal.neighborEdges(sym, Seq(6L)).toSet
     assert(got === Set((6L, 1L), (6L, 5L), (6L, 7L)))
-    assert(c.levels === 1 && c.edgesTraversed === 3)
   }
 
   test("neighborEdges of an empty frontier is empty and free") {
-    val c = new Traversal.Counters
-    assert(Traversal.neighborEdges(sym, Nil, c).isEmpty)
-    assert(c.levels === 0)
+    sym.count() // materialized before counting
+    val (got, jobs) = jobsStartedBy(Traversal.neighborEdges(sym, Nil))
+    assert(got.isEmpty)
+    assert(jobs === 0)
+    // control: a non-empty frontier is one join, so the count does see jobs
+    assert(jobsStartedBy(Traversal.neighborEdges(sym, Seq(6L)))._2 > 0)
   }
 
   test("multi-vertex frontier unions neighbourhoods") {
-    val c = new Traversal.Counters
-    val got = Traversal.neighborEdges(sym, Seq(10L, 12L), c)
+    val got = Traversal.neighborEdges(sym, Seq(10L, 12L))
     assert(got.map(_._1).toSet === Set(10L, 12L))
     assert(got.map(_._2).toSet === Set(9L, 11L, 3L))
-  }
-
-  test("walkBack collects exactly the BFS-DAG edges toward the root") {
-    val g = Fixtures.fig4Local
-    val depth = g.bfs(6L)
-    val c = new Traversal.Counters
-    // from {9} at depth 3 (6-7-8-9 and 6-1-2-9): both length-3 routes
-    assert(depth(9L) === 3)
-    val edges = Traversal.walkBack(sym, Set(9L), 3, depth, c)
-    assert(edges === Set((8L, 9L), (7L, 8L), (6L, 7L), (2L, 9L), (1L, 2L), (1L, 6L)))
-  }
-
-  test("stepBack filters to exactly one level down") {
-    val g = Fixtures.fig4Local
-    val depth = g.bfs(6L)
-    val c = new Traversal.Counters
-    val (edges, prev) = Traversal.stepBack(sym, Set(9L), 3, depth, c)
-    assert(prev === Set(8L, 2L))
-    assert(edges.toSet === Set((9L, 8L), (9L, 2L)))
   }
 }
