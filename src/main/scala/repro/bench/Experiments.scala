@@ -79,9 +79,8 @@ object Experiments {
     val (labP, tLabP) = timed(
       repro.core.Labelling.run(spark, edges, landmarks, parallel = true))
     val (qbsIndex, tAsm) = timed(QbS.assemble(spark, edges, labP))
-    val (labSeq, tLabSeq) = timed(
+    val (_, tLabSeq) = timed(
       repro.core.Labelling.run(spark, edges, landmarks, parallel = false))
-    labSeq.labels.unpersist(blocking = false)
     val tQbsP = tLm + tLabP + tAsm
     val tQbsSeq = tLm + tLabSeq + tAsm
     log(f"QbS-P build ${tQbsP}%.1fs (labelling ${tLabP}%.1fs; " +
@@ -137,8 +136,7 @@ object Experiments {
     log(f"query avg: QbS ${qstats(qbsRuns).avgMs}%.0fms  BiBFS ${qstats(bibfsRuns).avgMs}%.0fms")
 
     // release per-dataset caches
-    Seq(edges, qbsIndex.labels, qbsIndex.delta, qbsIndex.gMinusSym, qbsIndex.edges)
-      .foreach(_.unpersist(blocking = false))
+    Seq(edges, qbsIndex.edges).foreach(_.unpersist(blocking = false))
 
     Measurement(spec, stats, cfg.numLandmarks,
       tQbsP, tQbsSeq, pplIdx.status, tPpl, parentIdx.status, tParent,

@@ -35,21 +35,25 @@ final class MetaGraph(val landmarks: Seq[Long], metaEdges: Seq[(Long, Long, Int)
       d = dist(i)(j) if d < INF
     } yield d
 
-  def sigma(r: Long, rp: Long): Option[Int] =
-    edges.collectFirst {
-      case (a, b, w) if (a == math.min(r, rp)) && (b == math.max(r, rp)) => w
-    }
-
-  /** Canonical meta edges lying on at least one shortest `r`–`r'` path in `M`
-    * (the "shortest path graph of `(r, r')` in `M`" of Algorithm 3, line 10).
+  /** Per landmark pair `(i, j)`, the canonical meta edges lying on at least one
+    * shortest path between them in `M` (the "shortest path graph of `(r, r')` in `M`"
+    * of Algorithm 3, line 10), precomputed so that a sketch only looks them up.
     */
+  private val spg: Array[Array[Seq[(Long, Long)]]] = {
+    val indexed = for ((a, b, w) <- edges; ia <- idx.get(a); ib <- idx.get(b))
+      yield (a, b, w, ia, ib)
+    Array.tabulate(n, n) { (i, j) =>
+      val d = dist(i)(j)
+      if (d >= INF) Nil
+      else indexed.collect {
+        case (a, b, w, ia, ib)
+            if math.min(dist(i)(ia) + w + dist(ib)(j), dist(i)(ib) + w + dist(ia)(j)) == d =>
+          (a, b)
+      }.distinct
+    }
+  }
+
+  /** Canonical meta edges lying on at least one shortest `r`–`r'` path in `M`. */
   def spgEdges(r: Long, rp: Long): Seq[(Long, Long)] =
-    (for {
-      i <- idx.get(r).toSeq; j <- idx.get(rp).toSeq
-      d = dist(i)(j) if d < INF
-      (a, b, w) <- edges
-      ia <- idx.get(a); ib <- idx.get(b)
-      if math.min(dist(i)(ia) + w + dist(ib)(j),
-                  dist(i)(ib) + w + dist(ia)(j)) == d
-    } yield (a, b)).distinct
+    (for (i <- idx.get(r); j <- idx.get(rp)) yield spg(i)(j)).getOrElse(Nil)
 }

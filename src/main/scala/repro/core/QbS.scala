@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.storage.StorageLevel
 import repro.graph.GraphOps
 
 /** Query-by-Sketch, end to end: offline index construction (labelling + meta-graph +
@@ -8,14 +9,15 @@ import repro.graph.GraphOps
   */
 object QbS {
 
-  /** The offline-built QbS index. Queries run on its [[Index.engine]]; the cached
-    * DataFrames are what the engine was collected from, and remain the substrate of
-    * [[GuidedSearch.run]] and `BiBfs.spg(DataFrame, …)`.
+  /** The offline-built QbS index. Queries run on its [[Index.engine]]; the DataFrames
+    * are the substrate of [[GuidedSearch.run]] and `BiBfs.spg(DataFrame, …)`. Only
+    * `edges` is cached: the others are views that no query on the engine reads.
     *
-    * @param labels     cached `(v, lm, dist)` path labelling `L`
+    * @param labels     `(v, lm, dist)` path labelling `L`, a view over the label matrix
     * @param meta       driver-side meta-graph with APSP (§5.2 precomputation)
-    * @param delta      cached `(r, rp, src, dst)` landmark-pair SPG segments `Δ`
-    * @param gMinusSym  cached symmetric edges of `G⁻ = G[V \ R]`
+    * @param delta      `(r, rp, src, dst)` landmark-pair SPG segments `Δ`, a view over
+    *                   driver-side rows
+    * @param gMinusSym  symmetric edges of `G⁻ = G[V \ R]`, a plan over `edges`
     * @param edges      cached canonical edges of `G`
     */
   final case class Index(landmarks: Seq[Long], labels: DataFrame, meta: MetaGraph,
@@ -51,20 +53,19 @@ object QbS {
   }
 
   /** Assemble the index around an already-computed labelling (lets benches time the
-    * labelling phase separately from the shared Δ/sparsify/cache phase), and collect
-    * its query engine, whose arrays also give the label and Δ counts.
+    * labelling phase separately from the shared Δ/sparsify/cache phase). One Spark job
+    * caches and collects the edges; the query engine is laid out around the labelling's
+    * matrix, `Δ` computed from it, and its arrays give the label and Δ counts.
     */
   def assemble(spark: SparkSession, canonicalEdges: DataFrame,
                lab: Labelling.Result, t0: Long = System.nanoTime()): Index = {
     val landmarks = lab.landmarks
     val meta = new MetaGraph(landmarks, lab.metaEdges)
-    val delta = GraphOps.materialize(Labelling.delta(spark, canonicalEdges, lab))
-    val gMinusSym = GraphOps.materialize(
-      GraphOps.symmetric(GraphOps.sparsify(canonicalEdges, landmarks)))
-    val cached = GraphOps.materialize(canonicalEdges)
-    val engine = QueryEngine.collect(landmarks, cached, lab.labels, delta)
-    val index = Index(landmarks, lab.labels, meta, delta, gMinusSym, cached,
-      engine.labelEntries, engine.deltaEntries,
+    val cached = canonicalEdges.persist(StorageLevel.MEMORY_AND_DISK)
+    val engine = QueryEngine(lab, QueryEngine.edgesOf(cached))
+    val gMinusSym = GraphOps.symmetric(GraphOps.sparsify(cached, landmarks))
+    val index = Index(landmarks, lab.labels, meta, engine.deltaDf(spark), gMinusSym,
+      cached, engine.labelEntries, engine.deltaEntries,
       buildMillis = (System.nanoTime() - t0) / 1e6)
     index.prebuilt = Some(engine)
     index

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.graph.Traversal
 import scala.collection.mutable
 
@@ -18,13 +18,16 @@ import scala.collection.mutable
   *    `v·|R| + rank(r)`, with 255 meaning "no label";
   *  - `deltaEdges`: `Δ` as one array of dense endpoint pairs per canonical meta-edge.
   *
-  * Build it with [[QueryEngine.apply]] from plain rows, or [[QueryEngine.collect]]
-  * from an index's DataFrames.
+  * Build it around a [[Labelling.Result]], whose matrix it takes as it is and from
+  * which it computes `Δ`; from plain rows; or with [[QueryEngine.collect]] from an
+  * index's DataFrames.
   */
 final class QueryEngine private (ids: Array[Long], offsets: Array[Int], adj: Array[Int],
                                  lms: Array[Long], rank: Array[Int], label: Array[Byte],
-                                 deltaEdges: Map[(Long, Long), Array[Int]],
-                                 val labelEntries: Long, val deltaEntries: Long) {
+                                 deltaEdges: Map[(Long, Long), Array[Int]]) {
+
+  val labelEntries: Long = label.count(_ != QueryEngine.NoLabel).toLong
+  val deltaEntries: Long = deltaEdges.valuesIterator.map(_.length / 2L).sum
 
   private val numR = lms.length
   private val rankOf: Map[Long, Int] = lms.zipWithIndex.toMap
@@ -42,11 +45,13 @@ final class QueryEngine private (ids: Array[Long], offsets: Array[Int], adj: Arr
   /** `L(v)` as `landmark -> δ_vr`; empty for landmarks and unknown ids. */
   def labelsOf(v: Long): Map[Long, Int] = {
     val i = indexOf(v)
-    if (i < 0) Map.empty
-    else (0 until numR).iterator.flatMap { k =>
-      val d = label(i * numR + k) & 0xff
-      if (d == 255) None else Some(lms(k) -> d)
-    }.toMap
+    val out = Map.newBuilder[Long, Int]
+    if (i >= 0)
+      for (k <- 0 until numR) {
+        val d = label(i * numR + k) & 0xff
+        if (d != 255) out += lms(k) -> d
+      }
+    out.result()
   }
 
   private def expand(minus: Boolean, frontier: collection.Set[Long],
@@ -92,22 +97,67 @@ final class QueryEngine private (ids: Array[Long], offsets: Array[Int], adj: Arr
         Iterator.range(0, e.length, 2).map(j => (ids(e(j)), ids(e(j + 1))))
       }
   }
+
+  /** `Δ` as a DataFrame `(r, rp, src, dst)`: a view over driver-side rows, no job. */
+  private[core] def deltaDf(spark: SparkSession): DataFrame = {
+    import spark.implicits._
+    deltaEdges.toSeq.flatMap { case ((r, rp), e) =>
+      Iterator.range(0, e.length, 2).map(j => (r, rp, ids(e(j)), ids(e(j + 1))))
+    }.toDF("r", "rp", "src", "dst")
+  }
 }
 
 object QueryEngine {
 
   /** The label byte of "no label" (255 unsigned). */
-  private val NoLabel: Byte = -1
+  private[core] val NoLabel: Byte = -1
 
-  /** Lay out an engine. `labelEntries` and `deltaEntries` count the given rows.
-    *
-    * @param edges  canonical edges `(src, dst)` of `G`
-    * @param labels path labelling rows `(v, lm, dist)`; distances must fit one byte
-    * @param delta  `Δ` rows `(r, rp, src, dst)` with `r < rp`
+  /** Label distance `d` of `(v, r)` as its byte; fails for a distance that does not fit. */
+  private[core] def labelByte(v: Long, r: Long, d: Int): Byte = {
+    require(d >= 0 && d < 255, s"label ($v, $r) has distance $d, which does not fit " +
+      "the one-byte label encoding: distances must be below 255 (255 means no label)")
+    d.toByte
+  }
+
+  /** A BFS depth as the labelling's Pregel state stores it: saturated at 255 (which
+    * [[labelByte]] rejects), never wrapped.
     */
-  def apply(landmarks: Seq[Long], edges: Array[(Long, Long)],
-            labels: Array[(Long, Long, Int)],
-            delta: Array[(Long, Long, Long, Long)]): QueryEngine = {
+  private[core] def depthByte(d: Int): Byte = math.min(d, 255).toByte
+
+  /** A `numV × numR` label matrix with no labels. */
+  private[core] def emptyLabels(numV: Int, numR: Int): Array[Byte] = {
+    require(numV.toLong * numR <= Int.MaxValue,
+      s"$numV vertices × $numR landmarks exceed one label array")
+    Array.fill[Byte](numV * numR)(NoLabel)
+  }
+
+  /** The `|ids| × |R|` label matrix of `(v, lm, dist)` rows. */
+  private[core] def labelMatrix(ids: Array[Long], landmarks: Seq[Long],
+                                rows: Iterable[(Long, Long, Int)]): Array[Byte] = {
+    val numR = landmarks.size
+    val rankOf = landmarks.zipWithIndex.toMap
+    val label = emptyLabels(ids.length, numR)
+    for ((v, r, d) <- rows) {
+      val k = rankOf.getOrElse(r,
+        throw new IllegalArgumentException(s"label ($v, $r): $r is not a landmark"))
+      label(dense(ids, v, "label") * numR + k) = labelByte(v, r, d)
+    }
+    label
+  }
+
+  private def dense(ids: Array[Long], v: Long, what: String): Int = {
+    val i = java.util.Arrays.binarySearch(ids, v)
+    require(i >= 0, s"$what: $v is not a vertex of the graph")
+    i
+  }
+
+  /** Sorted vertex ids, CSR offsets and adjacency over dense indices, and landmark
+    * ranks of a canonical edge list.
+    */
+  private final case class Csr(ids: Array[Long], offsets: Array[Int], adj: Array[Int],
+                               rank: Array[Int])
+
+  private def csr(edges: Array[(Long, Long)], lms: Array[Long]): Csr = {
     val ids = {
       val all = new Array[Long](2 * edges.length)
       for (k <- edges.indices) { all(2 * k) = edges(k)._1; all(2 * k + 1) = edges(k)._2 }
@@ -116,16 +166,10 @@ object QueryEngine {
       for (x <- all) if (n == 0 || all(n - 1) != x) { all(n) = x; n += 1 }
       java.util.Arrays.copyOf(all, n)
     }
-    def dense(v: Long, what: String): Int = {
-      val i = java.util.Arrays.binarySearch(ids, v)
-      require(i >= 0, s"$what: $v is not a vertex of the graph")
-      i
-    }
-
     val offsets = new Array[Int](ids.length + 1)
     val adj = new Array[Int](2 * edges.length)
-    val a = edges.map(e => dense(e._1, "edge"))
-    val b = edges.map(e => dense(e._2, "edge"))
+    val a = edges.map(e => dense(ids, e._1, "edge"))
+    val b = edges.map(e => dense(ids, e._2, "edge"))
     for (k <- edges.indices) { offsets(a(k) + 1) += 1; offsets(b(k) + 1) += 1 }
     for (i <- 1 to ids.length) offsets(i) += offsets(i - 1)
     val next = offsets.clone()
@@ -133,30 +177,81 @@ object QueryEngine {
       adj(next(a(k))) = b(k); next(a(k)) += 1
       adj(next(b(k))) = a(k); next(b(k)) += 1
     }
-
-    val lms = landmarks.toArray
-    val numR = lms.length
-    val rankOf = lms.zipWithIndex.toMap
     val rank = Array.fill(ids.length)(-1)
-    for ((lm, k) <- lms.zipWithIndex) rank(dense(lm, "landmark")) = k
+    for ((lm, k) <- lms.zipWithIndex) rank(dense(ids, lm, "landmark")) = k
+    Csr(ids, offsets, adj, rank)
+  }
 
-    require(ids.length.toLong * numR <= Int.MaxValue,
-      s"${ids.length} vertices × $numR landmarks exceed one label array")
-    val label = Array.fill[Byte](ids.length * numR)(NoLabel)
-    for ((v, r, d) <- labels) {
-      require(d >= 0 && d < 255, s"label ($v, $r) has distance $d, which does not fit " +
-        "the one-byte label encoding: distances must be below 255 (255 means no label)")
-      val k = rankOf.getOrElse(r,
-        throw new IllegalArgumentException(s"label ($v, $r): $r is not a landmark"))
-      label(dense(v, "label") * numR + k) = d.toByte
-    }
+  /** `Δ` from the label matrix: edge `(a, b)` lies on a landmark-free shortest `r`–`r'`
+    * path of meta-edge `(r, r', σ)` iff `δ_L(a, r) + 1 + δ_L(b, r') = σ` in either
+    * orientation, where `δ_L(x, s)` is 0 for `x = s`, the label distance if there is
+    * one, and ∞ otherwise (so other landmarks are excluded). Scanning every `a` with
+    * `δ_L(a, r) < σ` and all its neighbours `b` covers both orientations; no edge
+    * satisfies both, since `δ_L(x, r) + δ_L(x, r') ≥ σ` for every `x`.
+    */
+  private def deltaOf(g: Csr, label: Array[Byte], numR: Int, lms: Array[Long],
+                      metaEdges: Seq[(Long, Long, Int)]): Map[(Long, Long), Array[Int]] = {
+    val rankOf = lms.zipWithIndex.toMap
+    val inf = Int.MaxValue / 2
+    def dist(x: Int, k: Int): Int =
+      if (g.rank(x) >= 0) { if (g.rank(x) == k) 0 else inf }
+      else {
+        val d = label(x * numR + k) & 0xff
+        if (d == 255) inf else d
+      }
+    metaEdges.map { case (r, rp, sigma) =>
+      val (k, kp) = (rankOf(r), rankOf(rp))
+      val out = Array.newBuilder[Int]
+      for (a <- g.ids.indices) {
+        val da = dist(a, k)
+        if (da < sigma) {
+          var j = g.offsets(a)
+          while (j < g.offsets(a + 1)) {
+            val b = g.adj(j)
+            if (da + 1 + dist(b, kp) == sigma) { out += math.min(a, b); out += math.max(a, b) }
+            j += 1
+          }
+        }
+      }
+      (math.min(r, rp), math.max(r, rp)) -> out.result()
+    }.toMap
+  }
 
+  /** Lay out an engine from plain rows.
+    *
+    * @param edges  canonical edges `(src, dst)` of `G`
+    * @param labels path labelling rows `(v, lm, dist)`; distances must fit one byte
+    * @param delta  `Δ` rows `(r, rp, src, dst)` with `r < rp`
+    */
+  def apply(landmarks: Seq[Long], edges: Array[(Long, Long)],
+            labels: Array[(Long, Long, Int)],
+            delta: Array[(Long, Long, Long, Long)]): QueryEngine = {
+    val lms = landmarks.toArray
+    val g = csr(edges, lms)
     val deltaEdges = delta.groupBy(t => (t._1, t._2)).map { case (key, rows) =>
-      key -> rows.flatMap(t => Array(dense(t._3, "Δ edge"), dense(t._4, "Δ edge")))
+      key -> rows.flatMap(t => Array(dense(g.ids, t._3, "Δ edge"), dense(g.ids, t._4, "Δ edge")))
     }
+    new QueryEngine(g.ids, g.offsets, g.adj, lms, g.rank,
+      labelMatrix(g.ids, landmarks, labels), deltaEdges)
+  }
 
-    new QueryEngine(ids, offsets, adj, lms, rank, label, deltaEdges,
-      labels.length.toLong, delta.length.toLong)
+  /** Lay out an engine around a labelling: its label matrix is taken as it is, and `Δ`
+    * is computed from it and the CSR of `edges` (the canonical edges of `G`).
+    */
+  def apply(lab: Labelling.Result, edges: Array[(Long, Long)]): QueryEngine = {
+    val lms = lab.landmarks.toArray
+    val g = csr(edges, lms)
+    require(java.util.Arrays.equals(g.ids, lab.ids),
+      "the labelling's vertices are not the vertices of the graph")
+    new QueryEngine(g.ids, g.offsets, g.adj, lms, g.rank, lab.label,
+      deltaOf(g, lab.label, lms.length, lms, lab.metaEdges))
+  }
+
+  /** The canonical edges `(src, dst)` of a DataFrame, collected (one Spark job). */
+  private[core] def edgesOf(edges: DataFrame): Array[(Long, Long)] = {
+    val spark = edges.sparkSession
+    import spark.implicits._
+    edges.select("src", "dst").as[(Long, Long)].collect()
   }
 
   /** Collect an index's cached edges, labels and `Δ` (one Spark job each). */
@@ -164,8 +259,7 @@ object QueryEngine {
               delta: DataFrame): QueryEngine = {
     val spark = edges.sparkSession
     import spark.implicits._
-    QueryEngine(landmarks,
-      edges.select("src", "dst").as[(Long, Long)].collect(),
+    QueryEngine(landmarks, edgesOf(edges),
       labels.select("v", "lm", "dist").as[(Long, Long, Int)].collect(),
       delta.select("r", "rp", "src", "dst").as[(Long, Long, Long, Long)].collect())
   }

@@ -31,20 +31,17 @@ object Sketch {
     */
   def compute(meta: MetaGraph, u: Long, v: Long,
               labelsU: Map[Long, Int], labelsV: Map[Long, Int]): S = {
-    val candidates = for {
-      (r, du) <- labelsU.toSeq
-      (rp, dv) <- labelsV.toSeq
-      dm <- meta.distance(r, rp)
-    } yield (r, rp, du + dm + dv)
-
-    if (candidates.isEmpty) S(u, v, None, Map.empty, Map.empty, Set.empty)
-    else {
-      val dTop = candidates.map(_._3).min
-      val mins = candidates.filter(_._3 == dTop)
-      val tU = mins.map { case (r, _, _) => r -> labelsU(r) }.toMap
-      val tV = mins.map { case (_, rp, _) => rp -> labelsV(rp) }.toMap
-      val me = mins.flatMap { case (r, rp, _) => meta.spgEdges(r, rp) }.toSet
-      S(u, v, Some(dTop), tU, tV, me)
+    var dTop = Int.MaxValue
+    var mins = List.empty[(Long, Long)]
+    for ((r, du) <- labelsU; (rp, dv) <- labelsV; dm <- meta.distance(r, rp)) {
+      val d = du + dm + dv
+      if (d < dTop) { dTop = d; mins = List((r, rp)) }
+      else if (d == dTop) mins = (r, rp) :: mins
     }
+    if (mins.isEmpty) S(u, v, None, Map.empty, Map.empty, Set.empty)
+    else S(u, v, Some(dTop),
+      mins.map { case (r, _) => r -> labelsU(r) }.toMap,
+      mins.map { case (_, rp) => rp -> labelsV(rp) }.toMap,
+      mins.flatMap { case (r, rp) => meta.spgEdges(r, rp) }.toSet)
   }
 }

@@ -12,7 +12,7 @@ object GraphStats {
   /** One row of the paper's Table 1. `bytes` follows the paper's convention: each
     * undirected edge appears in both adjacency lists at 8 bytes per entry.
     */
-  final case class Stats(numV: Long, numE: Long, numEUndirected: Long,
+  final case class Stats(numV: Long, numE: Long,
                          maxDeg: Long, avgDeg: Double, avgDist: Double, bytes: Long)
 
   /** Compute stats for a canonical edge list.
@@ -44,6 +44,6 @@ object GraphStats {
     }
     val avgDist = if (dists.isEmpty) 0.0 else dists.sum.toDouble / dists.size
 
-    Stats(numV, numE, numE, maxDeg, avgDeg, avgDist, numE * 2 * 8)
+    Stats(numV, numE, maxDeg, avgDeg, avgDist, numE * 2 * 8)
   }
 }

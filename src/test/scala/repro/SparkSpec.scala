@@ -48,6 +48,16 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       (a, jobs.get)
     } finally sc.removeSparkListener(listener)
   }
+
+  /** Runs `f` and returns the ids of the RDDs (DataFrame caches included) that it left
+    * persisted and that were not persisted before.
+    */
+  def persistedBy[A](f: => A): (A, Set[Int]) = {
+    def ids = spark.sparkContext.getPersistentRDDs.keySet.toSet
+    val before = ids
+    val a = f
+    (a, ids -- before)
+  }
 }
 
 object SparkSpec {

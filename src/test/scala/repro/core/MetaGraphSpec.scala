@@ -26,8 +26,11 @@ class MetaGraphSpec extends AnyFunSuite {
   }
 
   test("sigma returns the raw edge weight") {
-    assert(fig4Meta.sigma(1L, 3L) === Some(2))
-    assert(fig4Meta.sigma(3L, 1L) === Some(2))
+    assert(fig4Meta.edges.toSet === Fixtures.fig4MetaEdges)
+    // edges are canonical and keep σ, not the shorter d_M
+    val m = new MetaGraph(Seq(1L, 2L, 3L), Seq((1L, 2L, 1), (2L, 3L, 1), (3L, 1L, 5)))
+    assert(m.edges.toSet === Set((1L, 2L, 1), (2L, 3L, 1), (1L, 3L, 5)))
+    assert(m.distance(1L, 3L) === Some(2))
   }
 
   test("weighted shortcut wins over heavier direct edge") {

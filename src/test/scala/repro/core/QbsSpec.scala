@@ -118,13 +118,9 @@ class QbsSpec extends SparkSpec {
     // With one landmark every label is the plain BFS distance from it and there are
     // no meta-edges, so the labelling is computed on the driver: the Pregel would
     // need ~150 supersteps (minutes) to cross the cycle.
-    val labels = {
-      import spark.implicits._
-      local.bfs(1000L).toSeq.collect { case (x, d) if x != 1000L => (x, 1000L, d) }
-        .toDF("v", "lm", "dist")
-    }
-    val idx = QbS.assemble(spark, df,
-      Labelling.Result(Seq(1000L), GraphOps.materialize(labels), Seq.empty))
+    val labels = local.bfs(1000L).toSeq.collect { case (x, d) if x != 1000L => (x, 1000L, d) }
+    val idx = QbS.assemble(spark, df, new Labelling.Result(spark, Seq(1000L), local.vertices,
+      QueryEngine.labelMatrix(local.vertices, Seq(1000L), labels), Seq.empty))
     val (u, v) = (100L, 170L)
     val truth = (100L until 170L).map(i => (i, i + 1)).toSet
     assert(local.spg(u, v) === truth && local.distance(u, v) === Some(70))

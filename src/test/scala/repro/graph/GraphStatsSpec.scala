@@ -11,7 +11,6 @@ class GraphStatsSpec extends SparkSpec {
   test("vertex and edge counts") {
     assert(stats.numV === 14)
     assert(stats.numE === 19)
-    assert(stats.numEUndirected === 19)
   }
 
   test("max and average degree") {
