@@ -1,7 +1,7 @@
 package repro.baselines
 
 import org.apache.spark.sql.DataFrame
-import repro.core.BiSearch
+import repro.core.{BiSearch, GuidedSearch}
 import repro.graph.Traversal
 
 /** Search-based baseline (paper §6.1): bi-directional BFS on the FULL graph with no
@@ -14,13 +14,10 @@ import repro.graph.Traversal
   */
 object BiBfs {
 
-  final case class Result(edges: Set[(Long, Long)], distance: Option[Int],
-                          levels: Int, edgesTraversed: Long, millis: Double)
+  /** The search core's result; `usedRecover` is always false. */
+  type Result = GuidedSearch.Result
 
-  def spg(g: Traversal.Graph, u: Long, v: Long): Result = {
-    val r = BiSearch.bibfs(g, u, v)
-    Result(r.edges, r.distance, r.levels, r.edgesTraversed, r.millis)
-  }
+  def spg(g: Traversal.Graph, u: Long, v: Long): Result = BiSearch.bibfs(g, u, v)
 
   /** Bi-BFS over cached symmetric edges, one DataFrame join per level. */
   def spg(gSym: DataFrame, u: Long, v: Long): Result = spg(new Traversal.Frames(gSym), u, v)

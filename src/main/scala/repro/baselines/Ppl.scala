@@ -1,7 +1,5 @@
 package repro.baselines
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
 import repro.graph.LocalGraph
 import scala.collection.mutable
 
@@ -26,9 +24,9 @@ import scala.collection.mutable
   * the algorithm faithful to the paper and assert exactly that contract in tests; QbS
   * remains the exact method, which only sharpens the paper's point.
   *
-  * Queries run level-batched over a pluggable label fetcher so the same engine can be
-  * timed against driver-local maps (tests) or a label DataFrame (benches, sharing the
-  * online substrate with QbS).
+  * Queries run level-batched over the index's driver-local label arrays, as pruned
+  * landmark labelling answers from in-memory labels (Akiba, Iwata and Yoshida, SIGMOD
+  * 2013): no Spark job, like `QbS.query` on its engine.
   */
 object Ppl {
 
@@ -52,6 +50,10 @@ object Ppl {
                          entries: Long, parentRefs: Long, edgeScans: Long,
                          buildMillis: Double, status: Status) {
     def vertexOf(rank: Int): Long = order(rank)
+
+    /** `L(v)` as landmark VERTEX id -> entry; empty for a vertex with no labels. */
+    def labelsOf(v: Long): Map[Long, Entry] =
+      labels.getOrElse(v, Array.empty[Entry]).iterator.map(e => vertexOf(e.lmRank) -> e).toMap
   }
 
   /** Distance query over two sorted entry sequences (2-hop lookup). */
@@ -139,47 +141,17 @@ object Ppl {
 
   // ------------------------------------------------------------------ queries ----
 
-  /** Batch label fetcher: vertex ids -> (landmark VERTEX id -> (dist, parents)). */
-  type Fetch = Set[Long] => Map[Long, Map[Long, (Int, Array[Long])]]
-
-  /** Fetcher over the driver-local index (tests). */
-  def localFetcher(index: Index): Fetch = vs =>
-    vs.iterator.map { v =>
-      v -> index.labels.getOrElse(v, Array.empty[Entry])
-        .map(e => index.vertexOf(e.lmRank) -> (e.dist, e.parents)).toMap
-    }.toMap
-
-  /** Label DataFrame `(v, lm, dist, parents)` for the bench-substrate fetcher. */
-  def toLabelsDf(spark: SparkSession, index: Index): DataFrame = {
-    import spark.implicits._
-    val rows = index.labels.iterator.flatMap { case (v, es) =>
-      es.iterator.map(e => (v, index.vertexOf(e.lmRank), e.dist, e.parents.toSeq))
-    }.toSeq
-    spark.createDataset(rows).toDF("v", "lm", "dist", "parents")
-  }
-
-  /** Fetcher over a cached label DataFrame (one filter+collect per query round). */
-  def dfFetcher(labelsDf: DataFrame): Fetch = vs => {
-    if (vs.isEmpty) Map.empty
-    else labelsDf.filter(col("v").isin(vs.toSeq: _*)).collect()
-      .groupBy(_.getLong(0))
-      .map { case (v, rows) =>
-        v -> rows.map { r =>
-          r.getLong(1) -> (r.getInt(2), r.getSeq[Long](3).toArray)
-        }.toMap
-      }
-  }
-
   final case class QueryResult(edges: Set[(Long, Long)], distance: Option[Int],
                                rounds: Int, entriesFetched: Long, millis: Double)
 
   /** Level-batched recursive SPG query (paper §3.2).
     *
-    * Each round fetches labels for all pending pairs at once, computes per-pair
-    * distances and either emits an edge (`d = 1`), walks parent sets one step
-    * (ParentPPL fast path), or splits via the common landmarks `V_xy` (PPL).
+    * Each round reads the labels of all pending pairs at once (`entriesFetched` counts
+    * them, once per vertex and round), computes per-pair distances and either emits an
+    * edge (`d = 1`), walks parent sets one step (ParentPPL fast path), or splits via
+    * the common landmarks `V_xy` (PPL).
     */
-  def spgQuery(fetch: Fetch, u: Long, v: Long, withParents: Boolean): QueryResult = {
+  def spgQuery(index: Index, u: Long, v: Long, withParents: Boolean): QueryResult = {
     val t0 = System.nanoTime()
     val INF = Int.MaxValue / 4
     val edges = mutable.Set.empty[(Long, Long)]
@@ -194,36 +166,33 @@ object Ppl {
     while (pending.nonEmpty) {
       rounds += 1
       val verts = pending.flatMap(p => Set(p._1, p._2))
-      val lab = fetch(verts)
+      val lab = verts.iterator.map(x => x -> index.labelsOf(x)).toMap
       fetched += lab.valuesIterator.map(_.size.toLong).sum
       val next = mutable.Set.empty[(Long, Long)]
       for ((x, y) <- pending) {
-        val lx = lab.getOrElse(x, Map.empty)
-        val ly = lab.getOrElse(y, Map.empty)
+        val (lx, ly) = (lab(x), lab(y))
         val common = lx.keySet.intersect(ly.keySet)
         val d = if (common.isEmpty) INF
-                else common.iterator.map(r => lx(r)._1 + ly(r)._1).min
+                else common.iterator.map(r => lx(r).dist + ly(r).dist).min
         if (rounds == 1) topDistance = if (d >= INF) None else Some(d)
         if (d < INF && d > 0) {
           if (d == 1) edges += canon(x, y)
           else if (withParents && ly.contains(x)) {
             // x is a landmark stored in y's label: walk y's parents toward x
-            val (_, parents) = ly(x)
-            for (w <- parents) {
+            for (w <- ly(x).parents) {
               edges += canon(y, w)
               if (d == 2) edges += canon(w, x)
               else if (memo.add(canon(w, x))) next += canon(w, x)
             }
           } else if (withParents && lx.contains(y)) {
-            val (_, parents) = lx(y)
-            for (w <- parents) {
+            for (w <- lx(y).parents) {
               edges += canon(x, w)
               if (d == 2) edges += canon(w, y)
               else if (memo.add(canon(w, y))) next += canon(w, y)
             }
           } else {
             val splits = common.filter(r => r != x && r != y &&
-              lx(r)._1 + ly(r)._1 == d)
+              lx(r).dist + ly(r).dist == d)
             // splits can be empty when the only covering landmark is an endpoint
             // itself and no parent info is stored — part of the documented
             // incompleteness of Algorithm 1 (see the class doc).

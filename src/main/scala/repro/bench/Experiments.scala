@@ -118,18 +118,12 @@ object Experiments {
         if (runs.isEmpty) 0 else runs.map(_._1).sum / runs.size,
         if (runs.isEmpty) 0 else runs.map(_._2).sum / runs.size)
 
+    // PPL and ParentPPL answer from their own driver-local labels
     def labelledQueries(idx: Ppl.Index, withParents: Boolean): Option[QueryStats] =
-      if (idx.status != Ppl.Ok) None
-      else {
-        val df = GraphOps.materialize(Ppl.toLabelsDf(spark, idx))
-        val fetch = Ppl.dfFetcher(df)
-        val runs = pairs.map { case (u, v) =>
-          val r = Ppl.spgQuery(fetch, u, v, withParents)
-          (r.millis, r.entriesFetched.toDouble)
-        }
-        df.unpersist(blocking = false)
-        Some(qstats(runs))
-      }
+      Option.when(idx.status == Ppl.Ok)(qstats(pairs.map { case (u, v) =>
+        val r = Ppl.spgQuery(idx, u, v, withParents)
+        (r.millis, r.entriesFetched.toDouble)
+      }))
 
     val pplQ = labelledQueries(pplIdx, withParents = false)
     val parentQ = labelledQueries(parentIdx, withParents = true)

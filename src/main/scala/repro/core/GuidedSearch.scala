@@ -15,8 +15,10 @@ import repro.graph.Traversal
   */
 object GuidedSearch {
 
-  /** Result of one query: canonical SPG edges, the distance (None if disconnected),
-    * how the answer decomposed (for the Fig.-8-style coverage stats), and counters.
+  /** Result of one query of the search core, whichever instance and substrate ran it
+    * (`QbS.Answer` and `BiBfs.Result` name it too): canonical SPG edges, the distance
+    * (None if disconnected), how the answer decomposed (for the Fig.-8-style coverage
+    * stats), and counters.
     */
   final case class Result(edges: Set[(Long, Long)], distance: Option[Int],
                           usedReverse: Boolean, usedRecover: Boolean,

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.graphx.{EdgeDirection, EdgeTriplet, Graph => XGraph, Pregel, VertexId}
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.graph.Bfs
+import repro.graph.{Bfs, GraphOps}
 
 /** Offline phase of QbS: Algorithm 2 of the paper as a GraphX Pregel computation.
   *
@@ -215,5 +215,5 @@ object Labelling {
     *         driver-side rows.
     */
   def delta(spark: SparkSession, canonicalEdges: DataFrame, lab: Result): DataFrame =
-    QueryEngine(lab, QueryEngine.edgesOf(canonicalEdges)).deltaDf(spark)
+    QueryEngine(lab, GraphOps.edgesOf(canonicalEdges)).deltaDf(spark)
 }

@@ -13,6 +13,9 @@ object QbS {
     * are the substrate of [[GuidedSearch.run]] and `BiBfs.spg(DataFrame, …)`. Only
     * `edges` is cached: the others are views that no query on the engine reads.
     *
+    * The engine derives `Δ` from the labels and the meta-edges (`QueryEngine.deltaOf`),
+    * so `delta` is a view for DataFrame readers and is never read back into it.
+    *
     * @param labels     `(v, lm, dist)` path labelling `L`, a view over the label matrix
     * @param meta       driver-side meta-graph with APSP (§5.2 precomputation)
     * @param delta      `(r, rp, src, dst)` landmark-pair SPG segments `Δ`, a view over
@@ -26,18 +29,15 @@ object QbS {
 
     /** The index collected into the driver-local [[QueryEngine]] that [[query]] runs
       * on. [[assemble]] builds it eagerly; an `Index` constructed from its fields
-      * collects it on first use.
+      * collects its edges and labels on first use (two Spark jobs).
       */
     lazy val engine: QueryEngine = prebuilt.getOrElse(
-      QueryEngine.collect(landmarks, edges, labels, delta))
+      QueryEngine.collect(landmarks, edges, labels, meta.edges))
     private[core] var prebuilt: Option[QueryEngine] = None
   }
 
-  /** Result of one `SPG(u, v)` query: canonical edge set plus diagnostics. */
-  final case class Answer(u: Long, v: Long, edges: Set[(Long, Long)],
-                          distance: Option[Int], usedReverse: Boolean,
-                          usedRecover: Boolean, levels: Int, edgesTraversed: Long,
-                          millis: Double)
+  /** Result of one `SPG(u, v)` query: the search core's result. */
+  type Answer = GuidedSearch.Result
 
   /** Build the index.
     *
@@ -62,7 +62,7 @@ object QbS {
     val landmarks = lab.landmarks
     val meta = new MetaGraph(landmarks, lab.metaEdges)
     val cached = canonicalEdges.persist(StorageLevel.MEMORY_AND_DISK)
-    val engine = QueryEngine(lab, QueryEngine.edgesOf(cached))
+    val engine = QueryEngine(lab, GraphOps.edgesOf(cached))
     val gMinusSym = GraphOps.symmetric(GraphOps.sparsify(cached, landmarks))
     val index = Index(landmarks, lab.labels, meta, engine.deltaDf(spark), gMinusSym,
       cached, engine.labelEntries, engine.deltaEntries,
@@ -93,8 +93,7 @@ object QbS {
       else
         BiSearch.guided(e.sparsified,
           Sketch.compute(index.meta, u, v, e.labelsOf(u), e.labelsOf(v)))
-    Answer(u, v, res.edges, res.distance, res.usedReverse, res.usedRecover,
-      res.levels, res.edgesTraversed, (System.nanoTime() - t0) / 1e6)
+    res.copy(millis = (System.nanoTime() - t0) / 1e6)
   }
 
   /** Figure-8-style pair-coverage class of an answer: do all, some, or none of the

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.graph.Traversal
+import repro.graph.{GraphOps, Traversal}
 import scala.collection.mutable
 
 /** The driver-local QbS query engine: the index collected into flat arrays, so that a
@@ -18,9 +18,9 @@ import scala.collection.mutable
   *    `v·|R| + rank(r)`, with 255 meaning "no label";
   *  - `deltaEdges`: `Δ` as one array of dense endpoint pairs per canonical meta-edge.
   *
-  * Build it around a [[Labelling.Result]], whose matrix it takes as it is and from
-  * which it computes `Δ`; from plain rows; or with [[QueryEngine.collect]] from an
-  * index's DataFrames.
+  * Build it around a [[Labelling.Result]], whose matrix it takes as it is; from plain
+  * label rows; or with [[QueryEngine.collect]] from an index's edges and labels. Each
+  * way computes `Δ` from the label matrix and the meta-edges (`QueryEngine.deltaOf`).
   */
 final class QueryEngine private (ids: Array[Long], offsets: Array[Int], adj: Array[Int],
                                  lms: Array[Long], rank: Array[Int], label: Array[Byte],
@@ -189,8 +189,9 @@ object QueryEngine {
     * `δ_L(a, r) < σ` and all its neighbours `b` covers both orientations; no edge
     * satisfies both, since `δ_L(x, r) + δ_L(x, r') ≥ σ` for every `x`.
     */
-  private def deltaOf(g: Csr, label: Array[Byte], numR: Int, lms: Array[Long],
+  private def deltaOf(g: Csr, label: Array[Byte], lms: Array[Long],
                       metaEdges: Seq[(Long, Long, Int)]): Map[(Long, Long), Array[Int]] = {
+    val numR = lms.length
     val rankOf = lms.zipWithIndex.toMap
     val inf = Int.MaxValue / 2
     def dist(x: Int, k: Int): Int =
@@ -217,50 +218,43 @@ object QueryEngine {
     }.toMap
   }
 
+  /** The engine over `g` with label matrix `label`, and `Δ` computed from it. */
+  private def layout(g: Csr, lms: Array[Long], label: Array[Byte],
+                     metaEdges: Seq[(Long, Long, Int)]): QueryEngine =
+    new QueryEngine(g.ids, g.offsets, g.adj, lms, g.rank, label,
+      deltaOf(g, label, lms, metaEdges))
+
   /** Lay out an engine from plain rows.
     *
-    * @param edges  canonical edges `(src, dst)` of `G`
-    * @param labels path labelling rows `(v, lm, dist)`; distances must fit one byte
-    * @param delta  `Δ` rows `(r, rp, src, dst)` with `r < rp`
+    * @param edges     canonical edges `(src, dst)` of `G`
+    * @param labels    path labelling rows `(v, lm, dist)`; distances must fit one byte
+    * @param metaEdges meta-graph edges `(r, r', σ)`
     */
   def apply(landmarks: Seq[Long], edges: Array[(Long, Long)],
             labels: Array[(Long, Long, Int)],
-            delta: Array[(Long, Long, Long, Long)]): QueryEngine = {
+            metaEdges: Seq[(Long, Long, Int)]): QueryEngine = {
     val lms = landmarks.toArray
     val g = csr(edges, lms)
-    val deltaEdges = delta.groupBy(t => (t._1, t._2)).map { case (key, rows) =>
-      key -> rows.flatMap(t => Array(dense(g.ids, t._3, "Δ edge"), dense(g.ids, t._4, "Δ edge")))
-    }
-    new QueryEngine(g.ids, g.offsets, g.adj, lms, g.rank,
-      labelMatrix(g.ids, landmarks, labels), deltaEdges)
+    layout(g, lms, labelMatrix(g.ids, landmarks, labels), metaEdges)
   }
 
-  /** Lay out an engine around a labelling: its label matrix is taken as it is, and `Δ`
-    * is computed from it and the CSR of `edges` (the canonical edges of `G`).
+  /** Lay out an engine around a labelling, whose label matrix is taken as it is;
+    * `edges` are the canonical edges of `G`.
     */
   def apply(lab: Labelling.Result, edges: Array[(Long, Long)]): QueryEngine = {
     val lms = lab.landmarks.toArray
     val g = csr(edges, lms)
     require(java.util.Arrays.equals(g.ids, lab.ids),
       "the labelling's vertices are not the vertices of the graph")
-    new QueryEngine(g.ids, g.offsets, g.adj, lms, g.rank, lab.label,
-      deltaOf(g, lab.label, lms.length, lms, lab.metaEdges))
+    layout(g, lms, lab.label, lab.metaEdges)
   }
 
-  /** The canonical edges `(src, dst)` of a DataFrame, collected (one Spark job). */
-  private[core] def edgesOf(edges: DataFrame): Array[(Long, Long)] = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    edges.select("src", "dst").as[(Long, Long)].collect()
-  }
-
-  /** Collect an index's cached edges, labels and `Δ` (one Spark job each). */
+  /** Collect an index's cached edges and its labels (one Spark job each). */
   def collect(landmarks: Seq[Long], edges: DataFrame, labels: DataFrame,
-              delta: DataFrame): QueryEngine = {
+              metaEdges: Seq[(Long, Long, Int)]): QueryEngine = {
     val spark = edges.sparkSession
     import spark.implicits._
-    QueryEngine(landmarks, edgesOf(edges),
-      labels.select("v", "lm", "dist").as[(Long, Long, Int)].collect(),
-      delta.select("r", "rp", "src", "dst").as[(Long, Long, Long, Long)].collect())
+    QueryEngine(landmarks, GraphOps.edgesOf(edges),
+      labels.select("v", "lm", "dist").as[(Long, Long, Int)].collect(), metaEdges)
   }
 }

@@ -62,9 +62,15 @@ object GraphOps {
     cached
   }
 
+  /** The edges `(src, dst)` of a DataFrame, collected (one Spark job). */
+  def edgesOf(edges: DataFrame): Array[(Long, Long)] = {
+    val spark = edges.sparkSession
+    import spark.implicits._
+    edges.select("src", "dst").as[(Long, Long)].collect()
+  }
+
   /** Collect a canonical edge DataFrame into a driver-side [[LocalGraph]]. */
-  def toLocal(canonicalEdges: DataFrame): LocalGraph =
-    LocalGraph(canonicalEdges.collect().map(r => (r.getLong(0), r.getLong(1))))
+  def toLocal(canonicalEdges: DataFrame): LocalGraph = LocalGraph(edgesOf(canonicalEdges))
 
   /** Canonical edge DataFrame from driver-side pairs (test/bench convenience). */
   def fromPairs(spark: SparkSession, pairs: Seq[(Long, Long)],

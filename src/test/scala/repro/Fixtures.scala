@@ -1,6 +1,7 @@
 package repro
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.QueryEngine
 import repro.graph.{Generators, GraphOps, LocalGraph}
 
 /** Shared test fixtures: the paper's worked-example graphs, reconstructed from the
@@ -57,8 +58,16 @@ object Fixtures {
     13L -> Set((1L, 3), (3L, 1)),
     14L -> Set((1L, 2), (3L, 2)))
 
+  /** Figure 4(c) as `(v, lm, dist)` rows. */
+  val fig4LabelRows: Array[(Long, Long, Int)] =
+    fig4Labels.toArray.flatMap { case (v, ls) => ls.map { case (r, d) => (v, r, d) } }
+
   /** Figure 4(b): meta-graph edges with weights. */
   val fig4MetaEdges: Set[(Long, Long, Int)] = Set((1L, 2L, 1), (2L, 3L, 1), (1L, 3L, 2))
+
+  /** The Figure-4 index laid out as a query engine, without Spark. */
+  lazy val fig4Engine: QueryEngine =
+    QueryEngine(fig4Landmarks, fig4Edges.toArray, fig4LabelRows, fig4MetaEdges.toSeq)
 
   /** Figure 6(f): the answer of SPG(6, 11). */
   val fig4Spg611: Set[(Long, Long)] = Set(
@@ -73,6 +82,23 @@ object Fixtures {
   /** A small seeded random connected graph as (driver pairs, LocalGraph). */
   def randomLocal(n: Int, k: Int, seed: Long): LocalGraph =
     LocalGraph(Generators.localEdges(Generators.randomSpec(n, k, seed)))
+
+  /** Def. 4.2 by brute force: the labels `(v, r, δ_vr)` and the canonical meta-edges
+    * `(r, r', σ)` that `landmarks` give on `g`, from [[LocalGraph.landmarkFreeDistance]].
+    */
+  def def42(g: LocalGraph, landmarks: Seq[Long]): (Set[(Long, Long, Int)], Set[(Long, Long, Int)]) = {
+    val lmSet = landmarks.toSet
+    val labels = for {
+      v <- g.vertices.toSeq if !lmSet.contains(v)
+      r <- landmarks
+      d <- g.landmarkFreeDistance(v, r, lmSet)
+    } yield (v, r, d)
+    val metaEdges = for {
+      r <- landmarks; rp <- landmarks if r < rp
+      d <- g.landmarkFreeDistance(r, rp, lmSet)
+    } yield (r, rp, d)
+    (labels.toSet, metaEdges.toSet)
+  }
 
   /** The PPL/ParentPPL soundness contract (see `Ppl`'s class doc): every returned
     * edge lies on a true shortest path, the distance is exact, and the returned edge

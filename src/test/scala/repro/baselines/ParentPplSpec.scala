@@ -9,7 +9,6 @@ class ParentPplSpec extends AnyFunSuite {
   private val g3 = Fixtures.fig3Local
   private val index = Ppl.build(g3, withParents = true,
     orderOverride = Some((1L to 7L).toArray))
-  private val fetch = Ppl.localFetcher(index)
 
   test("fig3: construction succeeds") {
     assert(index.status === Ppl.Ok)
@@ -17,23 +16,23 @@ class ParentPplSpec extends AnyFunSuite {
 
   test("fig3: parent sets point one step toward the landmark") {
     // L(7) entry for landmark 1 at distance 3: parents = {5} (7-5-2-1)
-    val (d, parents) = fetch(Set(7L))(7L)(1L)
-    assert(d === 3)
-    assert(parents.toSet === Set(5L))
+    val e7 = index.labelsOf(7L)(1L)
+    assert(e7.dist === 3)
+    assert(e7.parents.toSet === Set(5L))
     // L(4) entry for landmark 1 at distance 2: parents = {2, 3}
-    val (d4, p4) = fetch(Set(4L))(4L)(1L)
-    assert(d4 === 2)
-    assert(p4.toSet === Set(2L, 3L))
+    val e4 = index.labelsOf(4L)(1L)
+    assert(e4.dist === 2)
+    assert(e4.parents.toSet === Set(2L, 3L))
   }
 
   test("fig3: query SPG(3,7) via parent walks equals the paper's answer") {
-    val r = Ppl.spgQuery(fetch, 3L, 7L, withParents = true)
+    val r = Ppl.spgQuery(index, 3L, 7L, withParents = true)
     assert(r.edges === Fixtures.fig3Spg37)
   }
 
   test("fig3: ParentPPL equals the reference for every pair") {
     for (u <- 1L to 7L; v <- 1L to 7L if u < v) {
-      val r = Ppl.spgQuery(fetch, u, v, withParents = true)
+      val r = Ppl.spgQuery(index, u, v, withParents = true)
       assert(r.edges === g3.spg(u, v), s"pair ($u,$v)")
     }
   }
@@ -49,13 +48,12 @@ class ParentPplSpec extends AnyFunSuite {
       val g = Fixtures.randomLocal(80, 2, seed)
       val idx = Ppl.build(g, withParents = true)
       assert(idx.status === Ppl.Ok)
-      val f = Ppl.localFetcher(idx)
       val rnd = new scala.util.Random(seed + 100)
       val vs = g.vertices
       for (_ <- 1 to 8) {
         val u = vs(rnd.nextInt(vs.length)); val v = vs(rnd.nextInt(vs.length))
         if (u != v) {
-          val r = Ppl.spgQuery(f, u, v, withParents = true)
+          val r = Ppl.spgQuery(idx, u, v, withParents = true)
           Fixtures.assertSoundSpg(g, u, v, r.edges, r.distance)
         }
       }

@@ -12,7 +12,6 @@ class PplSpec extends AnyFunSuite {
   // the paper's example uses landmark order 1, 2, …, 7
   private val index = Ppl.build(g3, withParents = false,
     orderOverride = Some((1L to 7L).toArray))
-  private val fetch = Ppl.localFetcher(index)
 
   test("fig3: construction succeeds") {
     assert(index.status === Ppl.Ok)
@@ -27,14 +26,14 @@ class PplSpec extends AnyFunSuite {
   }
 
   test("fig3: query SPG(3,7) returns the paper's green answer") {
-    val r = Ppl.spgQuery(fetch, 3L, 7L, withParents = false)
+    val r = Ppl.spgQuery(index, 3L, 7L, withParents = false)
     assert(r.edges === Fixtures.fig3Spg37)
     assert(r.distance === Some(4))
   }
 
   test("fig3: PPL equals the reference for every pair") {
     for (u <- 1L to 7L; v <- 1L to 7L if u < v) {
-      val r = Ppl.spgQuery(fetch, u, v, withParents = false)
+      val r = Ppl.spgQuery(index, u, v, withParents = false)
       assert(r.edges === g3.spg(u, v), s"pair ($u,$v)")
       assert(r.distance === g3.distance(u, v), s"distance ($u,$v)")
     }
@@ -42,9 +41,9 @@ class PplSpec extends AnyFunSuite {
 
   test("labels satisfy 2-hop distance cover on fig3") {
     for (u <- 1L to 7L; v <- 1L to 7L if u < v) {
-      val lu = fetch(Set(u))(u); val lv = fetch(Set(v))(v)
+      val lu = index.labelsOf(u); val lv = index.labelsOf(v)
       val common = lu.keySet.intersect(lv.keySet)
-      val d = common.map(r => lu(r)._1 + lv(r)._1).min
+      val d = common.map(r => lu(r).dist + lv(r).dist).min
       assert(d === g3.distance(u, v).get, s"pair ($u,$v)")
     }
   }
@@ -55,7 +54,7 @@ class PplSpec extends AnyFunSuite {
     for (u <- 1L to 7L; v <- 1L to 7L if u < v && g3.distance(u, v).exists(_ >= 2)) {
       val d = g3.distance(u, v).get
       val du = g3.bfs(u); val dv = g3.bfs(v)
-      val lu = fetch(Set(u))(u); val lv = fetch(Set(v))(v)
+      val lu = index.labelsOf(u); val lv = index.labelsOf(v)
       // internal vertices on SOME shortest path
       val internal = g3.vertices.filter(w =>
         w != u && w != v && du.get(w).zip(dv.get(w)).exists { case (a, b) => a + b == d })
@@ -63,7 +62,7 @@ class PplSpec extends AnyFunSuite {
       // the stronger per-path variant via the reference SPG equality test above, and
       // here that the cover value equals d at all.
       val covered = internal.filter(r =>
-        lu.get(r).map(_._1) == du.get(r) && lv.get(r).map(_._1) == dv.get(r))
+        lu.get(r).map(_.dist) == du.get(r) && lv.get(r).map(_.dist) == dv.get(r))
       assert(covered.nonEmpty, s"pair ($u,$v) has no internal covering landmark")
     }
   }
@@ -73,13 +72,12 @@ class PplSpec extends AnyFunSuite {
       val g = Fixtures.randomLocal(80, 2, seed)
       val idx = Ppl.build(g, withParents = false)
       assert(idx.status === Ppl.Ok)
-      val f = Ppl.localFetcher(idx)
       val rnd = new scala.util.Random(seed)
       val vs = g.vertices
       for (_ <- 1 to 8) {
         val u = vs(rnd.nextInt(vs.length)); val v = vs(rnd.nextInt(vs.length))
         if (u != v) {
-          val r = Ppl.spgQuery(f, u, v, withParents = false)
+          val r = Ppl.spgQuery(idx, u, v, withParents = false)
           Fixtures.assertSoundSpg(g, u, v, r.edges, r.distance)
         }
       }
@@ -94,8 +92,7 @@ class PplSpec extends AnyFunSuite {
     // violating Eq. (1), and the recursive query cannot rebuild it.
     val g = Fixtures.randomLocal(80, 2, 1L)
     val idx = Ppl.build(g, withParents = false)
-    val f = Ppl.localFetcher(idx)
-    val r = Ppl.spgQuery(f, 2L, 30L, withParents = false)
+    val r = Ppl.spgQuery(idx, 2L, 30L, withParents = false)
     Fixtures.assertSoundSpg(g, 2L, 30L, r.edges, r.distance) // still sound...
     assert(r.edges !== g.spg(2L, 30L), "...but provably incomplete")
     assert(g.spg(2L, 30L).diff(r.edges) === Set((0L, 12L), (5L, 12L)))
@@ -120,6 +117,11 @@ class PplSpec extends AnyFunSuite {
     val idx = Ppl.build(g, withParents = false)
     assert(idx.entries < g.numVertices.toLong * g.numVertices / 4,
       s"pruning ineffective: ${idx.entries} entries")
+  }
+
+  test("query counters are populated") {
+    val r = Ppl.spgQuery(index, 3L, 7L, withParents = false)
+    assert(r.rounds >= 2 && r.entriesFetched > 0)
   }
 
   test("construction work counter is populated") {

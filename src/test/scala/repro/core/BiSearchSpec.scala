@@ -8,10 +8,8 @@ class BiSearchSpec extends SparkSpec {
 
   private lazy val fig4Sym =
     GraphOps.materialize(GraphOps.symmetric(Fixtures.fig4Df(spark)))
-  private lazy val fig4Engine =
-    QueryEngine(Fixtures.fig4Landmarks, Fixtures.fig4Edges.toArray, Array.empty, Array.empty)
   private def substrates: Seq[(String, Traversal.Graph)] =
-    Seq("DataFrame" -> new Traversal.Frames(fig4Sym), "arrays" -> fig4Engine.graph)
+    Seq("DataFrame" -> new Traversal.Frames(fig4Sym), "arrays" -> Fixtures.fig4Engine.graph)
 
   test("walk-back collects exactly the BFS-DAG edges toward the root") {
     val depth = Fixtures.fig4Local.bfs(6L)

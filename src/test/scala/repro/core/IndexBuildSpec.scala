@@ -4,25 +4,16 @@ import repro.{Fixtures, SparkSpec}
 import repro.graph.{GraphOps, LocalGraph}
 
 /** The build at its edges: what it leaves persisted, more landmarks than one Pregel
-  * batch holds, `Δ` against an independent reference, and the one-byte depth limit.
+  * batch holds, `Δ` against an independent reference, the engine of an index built
+  * from its fields, and the one-byte depth limit.
   */
 class IndexBuildSpec extends SparkSpec {
 
   /** Def. 4.2 by brute force: the labels and meta-edges the landmarks must give. */
   private def assertDef42(local: LocalGraph, lab: Labelling.Result): Unit = {
-    val landmarks = lab.landmarks
-    val lmSet = landmarks.toSet
     val got = lab.labels.collect().map(r => (r.getLong(0), r.getLong(1), r.getInt(2))).toSet
-    val expected = (for {
-      v <- local.vertices.toSeq if !lmSet.contains(v)
-      r <- landmarks
-      d <- local.landmarkFreeDistance(v, r, lmSet)
-    } yield (v, r, d)).toSet
+    val (expected, expectedMeta) = Fixtures.def42(local, lab.landmarks)
     assert(got === expected)
-    val expectedMeta = (for {
-      r <- landmarks; rp <- landmarks if r < rp
-      d <- local.landmarkFreeDistance(r, rp, lmSet)
-    } yield (r, rp, d)).toSet
     assert(lab.metaEdges.toSet === expectedMeta)
   }
 
@@ -78,6 +69,41 @@ class IndexBuildSpec extends SparkSpec {
         val sub = LocalGraph(local.edges.filterNot { case (a, b) => keep(a) || keep(b) })
         assert(sub.distance(r, rp) === Some(sigma), s"σ($r,$rp)")
         assert(delta((r, rp)) === sub.spg(r, rp), s"Δ($r,$rp)")
+      }
+      df.unpersist()
+    }
+  }
+
+  /** An index rebuilt from its 9 fields, as a caller that runs the build's phases
+    * itself constructs it: its engine is collected on first use, not prebuilt.
+    */
+  private def fromFields(i: QbS.Index): QbS.Index =
+    QbS.Index(i.landmarks, i.labels, i.meta, i.delta, i.gMinusSym, i.edges,
+      i.labelEntries, i.deltaEntries, i.buildMillis)
+
+  for ((name, graph, numLandmarks) <- Seq(("fig4", () => Fixtures.fig4Local, 3),
+                                          ("random graph seed=6", () => Fixtures.randomLocal(60, 2, 6L), 5))) {
+    test(s"$name: the engine collected from an index's fields equals the built one") {
+      val local = graph()
+      val df = GraphOps.materialize(GraphOps.fromPairs(spark, local.edges.toSeq))
+      val built = QbS.build(spark, df, numLandmarks)
+      val rebuilt = fromFields(built)
+      val (collected, jobs) = jobsStartedBy(rebuilt.engine)
+      assert(jobs <= 2, s"collecting the engine started $jobs Spark jobs")
+      val e = built.engine
+      for (v <- local.vertices :+ 999L) assert(collected.labelsOf(v) === e.labelsOf(v), s"L($v)")
+      assert(built.meta.edges.nonEmpty)
+      for ((r, rp, _) <- built.meta.edges)
+        assert(collected.sparsified.delta(Set((r, rp))).toSet ===
+          e.sparsified.delta(Set((r, rp))).toSet, s"Δ($r,$rp)")
+      assert((collected.labelEntries, collected.deltaEntries) ===
+        ((e.labelEntries, e.deltaEntries)))
+      val vs = local.vertices
+      val rnd = new scala.util.Random(vs.length)
+      for ((u, v) <- Seq.fill(12)((vs(rnd.nextInt(vs.length)), vs(rnd.nextInt(vs.length))))) {
+        val a = QbS.query(rebuilt, u, v)
+        assert(a.copy(millis = 0) === QbS.query(built, u, v).copy(millis = 0), s"pair ($u,$v)")
+        assert(a.edges === local.spg(u, v), s"pair ($u,$v)")
       }
       df.unpersist()
     }

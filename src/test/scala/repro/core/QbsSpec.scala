@@ -74,6 +74,12 @@ class QbsSpec extends SparkSpec {
     assert(a.edges === g.spg(5L, 12L))
   }
 
+  test("QbS.coverage classifies answers") {
+    assert(QbS.coverage(QbS.query(index, 6L, 11L)) === "some") // meets at 8 AND via landmarks
+    assert(QbS.coverage(QbS.query(index, 8L, 9L)) === "none")  // adjacent in G⁻
+    assert(QbS.coverage(QbS.query(index, 5L, 12L)) === "all")  // only through landmarks
+  }
+
   test("index: label entry count equals the paper's table (16 entries)") {
     assert(index.labelEntries === Fixtures.fig4Labels.valuesIterator.map(_.size).sum)
   }
