@@ -118,7 +118,6 @@ object Experiments {
         if (runs.isEmpty) 0 else runs.map(_._1).sum / runs.size,
         if (runs.isEmpty) 0 else runs.map(_._2).sum / runs.size)
 
-    // PPL and ParentPPL answer from their own driver-local labels
     def labelledQueries(idx: Ppl.Index, withParents: Boolean): Option[QueryStats] =
       Option.when(idx.status == Ppl.Ok)(qstats(pairs.map { case (u, v) =>
         val r = Ppl.spgQuery(idx, u, v, withParents)

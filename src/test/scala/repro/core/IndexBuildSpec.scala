@@ -81,10 +81,9 @@ class IndexBuildSpec extends SparkSpec {
     QbS.Index(i.landmarks, i.labels, i.meta, i.delta, i.gMinusSym, i.edges,
       i.labelEntries, i.deltaEntries, i.buildMillis)
 
-  for ((name, graph, numLandmarks) <- Seq(("fig4", () => Fixtures.fig4Local, 3),
-                                          ("random graph seed=6", () => Fixtures.randomLocal(60, 2, 6L), 5))) {
+  for ((name, local, numLandmarks) <- Seq(("fig4", Fixtures.fig4Local, 3),
+                                          ("random graph seed=6", Fixtures.randomLocal(60, 2, 6L), 5))) {
     test(s"$name: the engine collected from an index's fields equals the built one") {
-      val local = graph()
       val df = GraphOps.materialize(GraphOps.fromPairs(spark, local.edges.toSeq))
       val built = QbS.build(spark, df, numLandmarks)
       val rebuilt = fromFields(built)
