@@ -10,9 +10,10 @@ import scala.util.Random
 
 /** Spark-free differential of the query side. On generated paths, cycles, trees,
   * cliques, stars and disconnected unions of up to about 30 vertices, with
-  * `|R| ∈ {1, |V| - 1, |V|}` or any size in between, the engine is laid out from brute-force Def.-4.2 labels
-  * and meta-edges; the search core's guided search (non-landmark pairs) and Bi-BFS
-  * (every pair) must equal `LocalGraph.spg`/`distance` for every ordered pair.
+  * `|R| ∈ {1, |V| - 1, |V|}` or any size in between, the engine is laid out from
+  * brute-force Def.-4.2 labels and meta-edges; the search core's guided search
+  * (non-landmark pairs) and Bi-BFS (every pair) must equal `LocalGraph.spg`/`distance`
+  * for every ordered pair.
   */
 class QueryDifferentialSpec extends AnyFunSuite {
   import QueryDifferentialSpec._
