@@ -2,8 +2,8 @@ package repro.bench
 
 import org.apache.spark.sql.SparkSession
 import repro.baselines.{BiBfs, Ppl}
-import repro.core.QbS
-import repro.graph.{Generators, GraphOps, GraphStats}
+import repro.core.{Labelling, QbS}
+import repro.graph.{Csr, Generators, GraphOps, GraphStats}
 import scala.util.Random
 
 /** Shared measurement harness behind the Table-1/2/3 jobs and benches.
@@ -71,18 +71,16 @@ object Experiments {
         f"avgDist=${stats.avgDist}%.1f")
 
     // --- offline construction ------------------------------------------------------
-    // Labelling is the part that differs between QbS-P (multi-source Pregel) and QbS
-    // (one Pregel per landmark); landmark selection and Δ/sparsify/cache assembly are
-    // shared, so each variant's build time is landmarks + its labelling + assembly.
-    val (landmarks, tLm) = timed(
-      repro.graph.GraphOps.topDegreeLandmarks(edges, cfg.numLandmarks))
-    val (labP, tLabP) = timed(
-      repro.core.Labelling.run(spark, edges, landmarks, parallel = true))
+    // Labelling is the part that differs between QbS-P (landmark BFSs spread over
+    // tasks) and QbS (all in one task); the edge collect, landmark pick and assembly
+    // are shared, so each variant's build time is those plus its own labelling.
+    val (g, tCsr) = timed(Csr(GraphOps.edgesOf(edges)))
+    val (landmarks, tLm) = timed(GraphOps.topDegreeLandmarks(g, cfg.numLandmarks))
+    val (labP, tLabP) = timed(Labelling.run(spark, g, landmarks, parallel = true))
     val (qbsIndex, tAsm) = timed(QbS.assemble(spark, edges, labP))
-    val (_, tLabSeq) = timed(
-      repro.core.Labelling.run(spark, edges, landmarks, parallel = false))
-    val tQbsP = tLm + tLabP + tAsm
-    val tQbsSeq = tLm + tLabSeq + tAsm
+    val (_, tLabSeq) = timed(Labelling.run(spark, g, landmarks, parallel = false))
+    val tQbsP = tCsr + tLm + tLabP + tAsm
+    val tQbsSeq = tCsr + tLm + tLabSeq + tAsm
     log(f"QbS-P build ${tQbsP}%.1fs (labelling ${tLabP}%.1fs; " +
         f"labels=${qbsIndex.labelEntries} Δ=${qbsIndex.deltaEntries})")
     log(f"QbS   build ${tQbsSeq}%.1fs (labelling ${tLabSeq}%.1fs)")
@@ -102,27 +100,29 @@ object Experiments {
       (nonLm(rnd.nextInt(nonLm.length)), nonLm(rnd.nextInt(nonLm.length)))
     }.filter(p => p._1 != p._2)
 
-    var coverage = Map("all" -> 0, "some" -> 0, "none" -> 0)
-    val qbsRuns = pairs.map { case (u, v) =>
-      val a = QbS.query(qbsIndex, u, v)
-      coverage = coverage.updated(QbS.coverage(a), coverage(QbS.coverage(a)) + 1)
-      (a.millis, a.edgesTraversed.toDouble)
+    /** Each method's answers to the pairs, after one untimed pass over them: without
+      * it the JIT's start-up goes to whichever method runs first.
+      */
+    def warmRuns[A](query: (Long, Long) => A): Seq[A] = {
+      pairs.foreach { case (u, v) => query(u, v) }
+      pairs.map { case (u, v) => query(u, v) }
     }
+    val qbsAnswers = warmRuns(QbS.query(qbsIndex, _, _))
+    val coverage = Map("all" -> 0, "some" -> 0, "none" -> 0) ++
+      qbsAnswers.groupBy(QbS.coverage).view.mapValues(_.size)
+    val qbsRuns = qbsAnswers.map(a => (a.millis, a.edgesTraversed.toDouble))
     // Bi-BFS runs on the same driver-local substrate as QbS.query: the engine's G
-    val bibfsRuns = pairs.map { case (u, v) =>
-      val r = BiBfs.spg(qbsIndex.engine.graph, u, v)
-      (r.millis, r.edgesTraversed.toDouble)
-    }
+    val bibfsRuns = warmRuns(BiBfs.spg(qbsIndex.engine.graph, _, _))
+      .map(r => (r.millis, r.edgesTraversed.toDouble))
     def qstats(runs: Seq[(Double, Double)]): QueryStats =
       QueryStats(runs.size,
         if (runs.isEmpty) 0 else runs.map(_._1).sum / runs.size,
         if (runs.isEmpty) 0 else runs.map(_._2).sum / runs.size)
 
     def labelledQueries(idx: Ppl.Index, withParents: Boolean): Option[QueryStats] =
-      Option.when(idx.status == Ppl.Ok)(qstats(pairs.map { case (u, v) =>
-        val r = Ppl.spgQuery(idx, u, v, withParents)
-        (r.millis, r.entriesFetched.toDouble)
-      }))
+      Option.when(idx.status == Ppl.Ok)(qstats(
+        warmRuns(Ppl.spgQuery(idx, _, _, withParents))
+          .map(r => (r.millis, r.entriesFetched.toDouble))))
 
     val pplQ = labelledQueries(pplIdx, withParents = false)
     val parentQ = labelledQueries(parentIdx, withParents = true)

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.storage.StorageLevel
-import repro.graph.GraphOps
+import repro.graph.{Csr, GraphOps}
 
 /** Query-by-Sketch, end to end: offline index construction (labelling + meta-graph +
   * `Δ` + sparsified graph) and online query answering (sketch + guided search).
@@ -11,7 +11,8 @@ object QbS {
 
   /** The offline-built QbS index. Queries run on its [[Index.engine]]; the DataFrames
     * are the substrate of [[GuidedSearch.run]] and `BiBfs.spg(DataFrame, …)`. Only
-    * `edges` is cached: the others are views that no query on the engine reads.
+    * `edges` is cached: the others are views over driver-side arrays that no query on
+    * the engine reads.
     *
     * The engine derives `Δ` from the labels and the meta-edges (`QueryEngine.deltaOf`),
     * so `delta` is a view for DataFrame readers and is never read back into it.
@@ -20,7 +21,7 @@ object QbS {
     * @param meta       driver-side meta-graph with APSP (§5.2 precomputation)
     * @param delta      `(r, rp, src, dst)` landmark-pair SPG segments `Δ`, a view over
     *                   driver-side rows
-    * @param gMinusSym  symmetric edges of `G⁻ = G[V \ R]`, a plan over `edges`
+    * @param gMinusSym  symmetric edges of `G⁻ = G[V \ R]`, a view over the CSR of `G`
     * @param edges      cached canonical edges of `G`
     */
   final case class Index(landmarks: Seq[Long], labels: DataFrame, meta: MetaGraph,
@@ -39,34 +40,33 @@ object QbS {
   /** Result of one `SPG(u, v)` query: the search core's result. */
   type Answer = GuidedSearch.Result
 
-  /** Build the index.
+  /** Build the index: cache and collect the edges (one Spark job), lay out their CSR,
+    * pick landmarks from its degrees, label (one Spark job) and [[assemble]].
     *
     * @param numLandmarks `|R|` (paper default 20), picked by descending degree
-    * @param parallel     multi-source labelling (QbS-P) vs per-landmark (QbS)
+    * @param parallel     landmark BFSs spread over tasks (QbS-P) vs in one (QbS)
     */
   def build(spark: SparkSession, canonicalEdges: DataFrame, numLandmarks: Int = 20,
             parallel: Boolean = true): Index = {
     val t0 = System.nanoTime()
-    val landmarks = GraphOps.topDegreeLandmarks(canonicalEdges, numLandmarks)
-    val lab = Labelling.run(spark, canonicalEdges, landmarks, parallel)
-    assemble(spark, canonicalEdges, lab, t0)
+    val cached = canonicalEdges.persist(StorageLevel.MEMORY_AND_DISK)
+    val g = Csr(GraphOps.edgesOf(cached))
+    val landmarks = GraphOps.topDegreeLandmarks(g, numLandmarks)
+    assemble(spark, cached, Labelling.run(spark, g, landmarks, parallel), t0)
   }
 
-  /** Assemble the index around an already-computed labelling (lets benches time the
-    * labelling phase separately from the shared Δ/sparsify/cache phase). One Spark job
-    * caches and collects the edges; the query engine is laid out around the labelling's
-    * matrix, `Δ` computed from it, and its arrays give the label and Δ counts.
+  /** Assemble the index around an already-computed labelling of `canonicalEdges` (lets
+    * benches time the labelling phase separately). No Spark job: the query engine is
+    * laid out around the labelling's CSR and matrix, `Δ` computed from them, and its
+    * arrays give the label and Δ counts. `canonicalEdges` become `Index.edges` as they
+    * are, so a caller other than [[build]] caches them itself.
     */
   def assemble(spark: SparkSession, canonicalEdges: DataFrame,
                lab: Labelling.Result, t0: Long = System.nanoTime()): Index = {
-    val landmarks = lab.landmarks
-    val meta = new MetaGraph(landmarks, lab.metaEdges)
-    val cached = canonicalEdges.persist(StorageLevel.MEMORY_AND_DISK)
-    val engine = QueryEngine(lab, GraphOps.edgesOf(cached))
-    val gMinusSym = GraphOps.symmetric(GraphOps.sparsify(cached, landmarks))
-    val index = Index(landmarks, lab.labels, meta, engine.deltaDf(spark), gMinusSym,
-      cached, engine.labelEntries, engine.deltaEntries,
-      buildMillis = (System.nanoTime() - t0) / 1e6)
+    val engine = QueryEngine(lab)
+    val index = Index(lab.landmarks, lab.labels, new MetaGraph(lab.landmarks, lab.metaEdges),
+      engine.deltaDf(spark), engine.gMinusDf(spark), canonicalEdges, engine.labelEntries,
+      engine.deltaEntries, buildMillis = (System.nanoTime() - t0) / 1e6)
     index.prebuilt = Some(engine)
     index
   }

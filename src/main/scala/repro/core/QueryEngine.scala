@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import repro.graph.{GraphOps, Traversal}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.LongType
+import repro.graph.{Csr, GraphOps, Traversal}
 import scala.collection.mutable
 
 /** The driver-local QbS query engine: the index collected into flat arrays, so that a
@@ -9,31 +10,32 @@ import scala.collection.mutable
   * array-based query side of pruned landmark labelling (Akiba, Iwata and Yoshida,
   * SIGMOD 2013):
   *
-  *  - `ids`: the sorted vertex ids of `G`; a vertex's position is its dense index,
-  *    found by binary search;
-  *  - `offsets`/`adj`: CSR adjacency of `G` over dense indices. `G⁻ = G[V \ R]` is the
-  *    same arrays with landmarks skipped, so it needs no second adjacency;
+  *  - `g`: the [[Csr]] of `G` (sorted vertex ids, whose positions are the dense
+  *    indices, and adjacency over them). `G⁻ = G[V \ R]` is the same arrays with
+  *    landmarks skipped, so it needs no second adjacency;
   *  - `rank`: each vertex's position in `landmarks`, -1 for non-landmarks;
   *  - `label`: the `|V| × |R|` byte matrix (`|R|·8` bits per vertex), `δ_vr` at
   *    `v·|R| + rank(r)`, with 255 meaning "no label";
   *  - `deltaEdges`: `Δ` as one array of dense endpoint pairs per canonical meta-edge.
   *
-  * Build it around a [[Labelling.Result]], whose matrix it takes as it is; from plain
-  * label rows; or with [[QueryEngine.collect]] from an index's edges and labels. Each
-  * way computes `Δ` from the label matrix and the meta-edges (`QueryEngine.deltaOf`).
+  * Build it around a [[Labelling.Result]], whose CSR and matrix it takes as they are;
+  * from plain label rows; or with [[QueryEngine.collect]] from an index's edges and
+  * labels. Each way computes `Δ` from the label matrix and the meta-edges
+  * (`QueryEngine.deltaOf`).
   */
-final class QueryEngine private (ids: Array[Long], offsets: Array[Int], adj: Array[Int],
-                                 lms: Array[Long], rank: Array[Int], label: Array[Byte],
+final class QueryEngine private (g: Csr, lms: Array[Long], rank: Array[Int], label: Array[Byte],
                                  deltaEdges: Map[(Long, Long), Array[Int]]) {
 
   val labelEntries: Long = label.count(_ != QueryEngine.NoLabel).toLong
   val deltaEntries: Long = deltaEdges.valuesIterator.map(_.length / 2L).sum
 
+  private val ids = g.ids
+  private val offsets = g.offsets
+  private val adj = g.adj
   private val numR = lms.length
   private val rankOf: Map[Long, Int] = lms.zipWithIndex.toMap
 
-  /** Dense index of vertex `v`; negative if `v` is not a vertex of `G`. */
-  private def indexOf(v: Long): Int = java.util.Arrays.binarySearch(ids, v)
+  private def indexOf(v: Long): Int = g.indexOf(v)
 
   def contains(v: Long): Boolean = indexOf(v) >= 0
 
@@ -100,10 +102,25 @@ final class QueryEngine private (ids: Array[Long], offsets: Array[Int], adj: Arr
 
   /** `Δ` as a DataFrame `(r, rp, src, dst)`: a view over driver-side rows, no job. */
   private[core] def deltaDf(spark: SparkSession): DataFrame = {
-    import spark.implicits._
-    deltaEdges.toSeq.flatMap { case ((r, rp), e) =>
-      Iterator.range(0, e.length, 2).map(j => (r, rp, ids(e(j)), ids(e(j + 1))))
-    }.toDF("r", "rp", "src", "dst")
+    val (ids, deltaEdges) = (this.ids, this.deltaEdges)
+    GraphOps.view(spark, Seq("r", "rp", "src", "dst").map(_ -> LongType): _*) { () =>
+      deltaEdges.iterator.flatMap { case ((r, rp), e) =>
+        Iterator.range(0, e.length, 2).map(j => Row(r, rp, ids(e(j)), ids(e(j + 1))))
+      }
+    }
+  }
+
+  /** The symmetric edges `(src, dst)` of `G⁻` as a DataFrame: a view over the CSR, no
+    * job.
+    */
+  private[core] def gMinusDf(spark: SparkSession): DataFrame = {
+    val (ids, offsets, adj, rank) = (this.ids, this.offsets, this.adj, this.rank)
+    GraphOps.view(spark, "src" -> LongType, "dst" -> LongType) { () =>
+      for {
+        i <- ids.indices.iterator if rank(i) < 0
+        j <- Iterator.range(offsets(i), offsets(i + 1)) if rank(adj(j)) < 0
+      } yield Row(ids(i), ids(adj(j)))
+    }
   }
 }
 
@@ -119,11 +136,6 @@ object QueryEngine {
     d.toByte
   }
 
-  /** A BFS depth as the labelling's Pregel state stores it: saturated at 255 (which
-    * [[labelByte]] rejects), never wrapped.
-    */
-  private[core] def depthByte(d: Int): Byte = math.min(d, 255).toByte
-
   /** A `numV × numR` label matrix with no labels. */
   private[core] def emptyLabels(numV: Int, numR: Int): Array[Byte] = {
     require(numV.toLong * numR <= Int.MaxValue,
@@ -131,55 +143,18 @@ object QueryEngine {
     Array.fill[Byte](numV * numR)(NoLabel)
   }
 
-  /** The `|ids| × |R|` label matrix of `(v, lm, dist)` rows. */
-  private[core] def labelMatrix(ids: Array[Long], landmarks: Seq[Long],
-                                rows: Iterable[(Long, Long, Int)]): Array[Byte] = {
+  /** The `|V| × |R|` label matrix of `(v, lm, dist)` rows. */
+  private def labelMatrix(g: Csr, landmarks: Seq[Long],
+                          rows: Iterable[(Long, Long, Int)]): Array[Byte] = {
     val numR = landmarks.size
     val rankOf = landmarks.zipWithIndex.toMap
-    val label = emptyLabels(ids.length, numR)
+    val label = emptyLabels(g.numV, numR)
     for ((v, r, d) <- rows) {
       val k = rankOf.getOrElse(r,
         throw new IllegalArgumentException(s"label ($v, $r): $r is not a landmark"))
-      label(dense(ids, v, "label") * numR + k) = labelByte(v, r, d)
+      label(g.dense(v, "label") * numR + k) = labelByte(v, r, d)
     }
     label
-  }
-
-  private def dense(ids: Array[Long], v: Long, what: String): Int = {
-    val i = java.util.Arrays.binarySearch(ids, v)
-    require(i >= 0, s"$what: $v is not a vertex of the graph")
-    i
-  }
-
-  /** Sorted vertex ids, CSR offsets and adjacency over dense indices, and landmark
-    * ranks of a canonical edge list.
-    */
-  private final case class Csr(ids: Array[Long], offsets: Array[Int], adj: Array[Int],
-                               rank: Array[Int])
-
-  private def csr(edges: Array[(Long, Long)], lms: Array[Long]): Csr = {
-    val ids = {
-      val all = new Array[Long](2 * edges.length)
-      for (k <- edges.indices) { all(2 * k) = edges(k)._1; all(2 * k + 1) = edges(k)._2 }
-      java.util.Arrays.sort(all)
-      var n = 0
-      for (x <- all) if (n == 0 || all(n - 1) != x) { all(n) = x; n += 1 }
-      java.util.Arrays.copyOf(all, n)
-    }
-    val offsets = new Array[Int](ids.length + 1)
-    val adj = new Array[Int](2 * edges.length)
-    val a = edges.map(e => dense(ids, e._1, "edge"))
-    val b = edges.map(e => dense(ids, e._2, "edge"))
-    for (k <- edges.indices) { offsets(a(k) + 1) += 1; offsets(b(k) + 1) += 1 }
-    for (i <- 1 to ids.length) offsets(i) += offsets(i - 1)
-    val next = offsets.clone()
-    for (k <- edges.indices) {
-      adj(next(a(k))) = b(k); next(a(k)) += 1
-      adj(next(b(k))) = a(k); next(b(k)) += 1
-    }
-    val rank = Array.fill(ids.length)(-1)
-    for ((lm, k) <- lms.zipWithIndex) rank(dense(ids, lm, "landmark")) = k
-    Csr(ids, offsets, adj, rank)
   }
 
   /** `Δ` from the label matrix: edge `(a, b)` lies on a landmark-free shortest `r`–`r'`
@@ -189,40 +164,46 @@ object QueryEngine {
     * `δ_L(a, r) < σ` and all its neighbours `b` covers both orientations; no edge
     * satisfies both, since `δ_L(x, r) + δ_L(x, r') ≥ σ` for every `x`.
     */
-  private def deltaOf(g: Csr, label: Array[Byte], lms: Array[Long],
+  private def deltaOf(g: Csr, rank: Array[Int], label: Array[Byte], lms: Array[Long],
                       metaEdges: Seq[(Long, Long, Int)]): Map[(Long, Long), Array[Int]] = {
     val numR = lms.length
     val rankOf = lms.zipWithIndex.toMap
     val inf = Int.MaxValue / 2
     def dist(x: Int, k: Int): Int =
-      if (g.rank(x) >= 0) { if (g.rank(x) == k) 0 else inf }
+      if (rank(x) >= 0) { if (rank(x) == k) 0 else inf }
       else {
         val d = label(x * numR + k) & 0xff
         if (d == 255) inf else d
       }
+    val buf = new Array[Int](g.adj.length) // one meta-edge's Δ has at most |E| edges
     metaEdges.map { case (r, rp, sigma) =>
       val (k, kp) = (rankOf(r), rankOf(rp))
-      val out = Array.newBuilder[Int]
-      for (a <- g.ids.indices) {
+      var n = 0
+      var a = 0
+      while (a < g.numV) {
         val da = dist(a, k)
         if (da < sigma) {
           var j = g.offsets(a)
           while (j < g.offsets(a + 1)) {
             val b = g.adj(j)
-            if (da + 1 + dist(b, kp) == sigma) { out += math.min(a, b); out += math.max(a, b) }
+            if (da + 1 + dist(b, kp) == sigma) {
+              buf(n) = math.min(a, b); buf(n + 1) = math.max(a, b); n += 2
+            }
             j += 1
           }
         }
+        a += 1
       }
-      (math.min(r, rp), math.max(r, rp)) -> out.result()
+      (math.min(r, rp), math.max(r, rp)) -> java.util.Arrays.copyOf(buf, n)
     }.toMap
   }
 
   /** The engine over `g` with label matrix `label`, and `Δ` computed from it. */
-  private def layout(g: Csr, lms: Array[Long], label: Array[Byte],
-                     metaEdges: Seq[(Long, Long, Int)]): QueryEngine =
-    new QueryEngine(g.ids, g.offsets, g.adj, lms, g.rank, label,
-      deltaOf(g, label, lms, metaEdges))
+  private def layout(g: Csr, landmarks: Seq[Long], label: Array[Byte],
+                     metaEdges: Seq[(Long, Long, Int)]): QueryEngine = {
+    val (lms, rank) = (landmarks.toArray, g.ranks(landmarks))
+    new QueryEngine(g, lms, rank, label, deltaOf(g, rank, label, lms, metaEdges))
+  }
 
   /** Lay out an engine from plain rows.
     *
@@ -233,21 +214,13 @@ object QueryEngine {
   def apply(landmarks: Seq[Long], edges: Array[(Long, Long)],
             labels: Array[(Long, Long, Int)],
             metaEdges: Seq[(Long, Long, Int)]): QueryEngine = {
-    val lms = landmarks.toArray
-    val g = csr(edges, lms)
-    layout(g, lms, labelMatrix(g.ids, landmarks, labels), metaEdges)
+    val g = Csr(edges)
+    layout(g, landmarks, labelMatrix(g, landmarks, labels), metaEdges)
   }
 
-  /** Lay out an engine around a labelling, whose label matrix is taken as it is;
-    * `edges` are the canonical edges of `G`.
-    */
-  def apply(lab: Labelling.Result, edges: Array[(Long, Long)]): QueryEngine = {
-    val lms = lab.landmarks.toArray
-    val g = csr(edges, lms)
-    require(java.util.Arrays.equals(g.ids, lab.ids),
-      "the labelling's vertices are not the vertices of the graph")
-    layout(g, lms, lab.label, lab.metaEdges)
-  }
+  /** Lay out an engine around a labelling: its CSR and label matrix as they are. */
+  def apply(lab: Labelling.Result): QueryEngine =
+    layout(lab.graph, lab.landmarks, lab.label, lab.metaEdges)
 
   /** Collect an index's cached edges and its labels (one Spark job each). */
   def collect(landmarks: Seq[Long], edges: DataFrame, labels: DataFrame,

@@ -1,8 +1,10 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DataType, StructField, StructType}
 import org.apache.spark.storage.StorageLevel
+import scala.collection.mutable
 
 /** DataFrame-level operations on undirected graphs.
   *
@@ -40,15 +42,15 @@ object GraphOps {
       .agg(count(lit(1)) as "degree")
 
   /** Top-`k` vertices by degree (ties broken by smaller id) — the paper's landmark
-    * selection strategy (§6.1).
+    * selection strategy (§6.1). Collects the edges (one Spark job).
     */
   def topDegreeLandmarks(canonicalEdges: DataFrame, k: Int): Seq[Long] =
-    degrees(canonicalEdges)
-      .orderBy(col("degree").desc, col("v").asc)
-      .limit(k)
-      .collect()
-      .map(_.getLong(0))
-      .toSeq
+    topDegreeLandmarks(Csr(edgesOf(canonicalEdges)), k)
+
+  /** Top-`k` vertices of `g` by degree, ties broken by smaller id. */
+  def topDegreeLandmarks(g: Csr, k: Int): Seq[Long] =
+    Array.range(0, g.numV).sortBy(i => -g.degree(i)) // stable: ties stay in id order
+      .take(k).map(g.ids(_)).toSeq
 
   /** Sparsified graph `G[V \ R]`: canonical edges with neither endpoint a landmark. */
   def sparsify(canonicalEdges: DataFrame, landmarks: Seq[Long]): DataFrame =
@@ -62,12 +64,26 @@ object GraphOps {
     cached
   }
 
-  /** The edges `(src, dst)` of a DataFrame, collected (one Spark job). */
+  /** The edges `(src, dst)` of a DataFrame, collected (one Spark job). Reads them
+    * through `Dataset.rdd`, which a DataFrame plans once however often it is collected,
+    * and ships each partition's endpoints as one primitive array.
+    */
   def edgesOf(edges: DataFrame): Array[(Long, Long)] = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    edges.select("src", "dst").as[(Long, Long)].collect()
+    val (s, d) = (edges.schema.fieldIndex("src"), edges.schema.fieldIndex("dst"))
+    val parts = edges.rdd.mapPartitions { rows =>
+      val out = new mutable.ArrayBuilder.ofLong
+      rows.foreach(r => out.addOne(r.getLong(s)).addOne(r.getLong(d)))
+      Iterator.single(out.result())
+    }.collect()
+    parts.flatMap(p => Iterator.range(0, p.length, 2).map(j => (p(j), p(j + 1))))
   }
+
+  /** An uncached DataFrame of `columns` whose rows one task computes from driver-side
+    * data when a job reads it; making it plans and computes nothing.
+    */
+  def view(spark: SparkSession, columns: (String, DataType)*)(rows: () => Iterator[Row]): DataFrame =
+    spark.createDataFrame(spark.sparkContext.parallelize(Seq(0), 1).flatMap(_ => rows()),
+      StructType(columns.map { case (name, t) => StructField(name, t, nullable = false) }))
 
   /** Collect a canonical edge DataFrame into a driver-side [[LocalGraph]]. */
   def toLocal(canonicalEdges: DataFrame): LocalGraph = LocalGraph(edgesOf(canonicalEdges))

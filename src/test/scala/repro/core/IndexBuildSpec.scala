@@ -1,11 +1,16 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.Prop.propBoolean
+import org.scalacheck.util.Pretty
 import repro.{Fixtures, SparkSpec}
 import repro.graph.{GraphOps, LocalGraph}
+import scala.util.Random
 
-/** The build at its edges: what it leaves persisted, more landmarks than one Pregel
-  * batch holds, `Δ` against an independent reference, the engine of an index built
-  * from its fields, and the one-byte depth limit.
+/** The build at its edges: its Spark jobs and what it leaves persisted, up to `|V|`
+  * landmarks, `Δ` against an independent reference, the engine of an index built from
+  * its fields, the one-byte depth limit on real paths, and a differential of
+  * `QbS.build` + `QbS.query` on generated shapes.
   */
 class IndexBuildSpec extends SparkSpec {
 
@@ -18,11 +23,24 @@ class IndexBuildSpec extends SparkSpec {
   }
 
   test("QbS.build leaves nothing persisted once the index's DataFrames are unpersisted") {
-    val df = GraphOps.fromPairs(spark, Fixtures.randomLocal(60, 2, 5L).edges.toSeq)
+    val local = Fixtures.randomLocal(60, 2, 5L)
+    val df = GraphOps.fromPairs(spark, local.edges.toSeq)
+    // |R| at the first cut of the degree order that splits a tie (the smaller ids win)
+    val byDegree = local.vertices.sortBy(v => (-local.degree(v), v))
+    val k = (2 to 20).find(k => local.degree(byDegree(k - 1)) == local.degree(byDegree(k))).get
     val (_, left) = persistedBy {
-      val (idx, held) = persistedBy(QbS.build(spark, df, numLandmarks = 4))
+      val (idx, held) = persistedBy(QbS.build(spark, df, numLandmarks = k))
       assert(held.size === 1, "the build caches the edges and nothing else")
-      Seq(idx.labels, idx.delta, idx.gMinusSym, idx.edges).foreach(_.unpersist(blocking = true))
+      // on its cached input, one job collects the edges and one runs the labelling
+      val (again, jobs) = jobsStartedBy(QbS.build(spark, df, numLandmarks = k))
+      assert(jobs <= 2, s"the build started $jobs Spark jobs")
+      assert(again.landmarks === idx.landmarks)
+      idx.edges.unpersist(blocking = true)
+      assert(!spark.sparkContext.getPersistentRDDs.contains(held.head),
+        "the one RDD the build persisted is the edge cache")
+      assert(idx.landmarks === byDegree.take(k).toSeq)
+      assert(idx.landmarks === GraphOps.topDegreeLandmarks(df, k))
+      Seq(idx.labels, idx.delta, idx.gMinusSym).foreach(_.unpersist(blocking = true))
     }
     assert(left.isEmpty, s"RDDs ${left.mkString(", ")} are still persisted")
   }
@@ -108,21 +126,77 @@ class IndexBuildSpec extends SparkSpec {
     }
   }
 
-  test("depths saturate at 255 instead of wrapping, and 255 fails the matrix fill") {
-    // a Pregel reaching depth 255 needs 255 supersteps, so the fill is tested directly
-    assert(Seq(0, 1, 254).map(d => QueryEngine.depthByte(d) & 0xff) === Seq(0, 1, 254))
-    for (d <- Seq(255, 256, 300, 511, Int.MaxValue))
-      assert((QueryEngine.depthByte(d) & 0xff) === 255, s"depth $d")
-    def fill(d: Int, v: Long) = Labelling.fromBatches(spark, Seq(0L, 9L), Array(0L, 5L, 9L),
-      Seq(Seq(0L, 9L) -> Array((v, 1L, Array(QueryEngine.depthByte(d), 0.toByte)))))
-    val fits = fill(254, 5L)
-    assert(fits.labels.collect().map(r => (r.getLong(0), r.getLong(1), r.getInt(2))) ===
-      Array((5L, 0L, 254)))
-    assert(fill(254, 9L).metaEdges === Seq((0L, 9L, 254)))
-    for (d <- Seq(255, 300); v <- Seq(5L, 9L)) {
-      val e = intercept[IllegalArgumentException](fill(d, v))
-      assert(e.getMessage.contains(s"($v, 0) has distance 255"), e.getMessage)
+  /** A path `0 – 1 – … – (n-1)` whose ends in `hubs` carry two extra leaves each, so
+    * that the degree pick makes exactly those ends the landmarks.
+    */
+  private def pathWithHubs(n: Int, hubs: Long*): LocalGraph =
+    LocalGraph(((0L until n - 1L).map(i => (i, i + 1)) ++
+      hubs.flatMap(h => Seq((h, 1000L + 2 * h), (h, 1001L + 2 * h)))).toArray)
+
+  test("a 255-vertex path with the landmark at one end labels to depth 254") {
+    val local = pathWithHubs(255, 0L)
+    val df = GraphOps.fromPairs(spark, local.edges.toSeq)
+    val idx = QbS.build(spark, df, numLandmarks = 1)
+    assert(idx.landmarks === Seq(0L))
+    val labels = idx.labels.collect().map(r => (r.getLong(0), r.getLong(1), r.getInt(2))).toSet
+    assert(labels === Fixtures.def42(local, idx.landmarks)._1)
+    assert(idx.engine.labelsOf(254L) === Map(0L -> 254))
+    val a = QbS.query(idx, 1L, 254L)
+    assert(a.distance === Some(253) && a.edges === local.spg(1L, 254L))
+    idx.edges.unpersist()
+  }
+
+  test("a 256-vertex path fails the build with the one-byte label encoding's error") {
+    // the deepest label is at 255 with one landmark, the meta-edge with one at each end
+    for (hubs <- Seq(Seq(0L), Seq(0L, 255L))) {
+      val df = GraphOps.fromPairs(spark, pathWithHubs(256, hubs: _*).edges.toSeq)
+      val e = intercept[IllegalArgumentException](QbS.build(spark, df, numLandmarks = hubs.size))
+      assert(e.getMessage.contains("(255, 0) has distance 255"), e.getMessage)
       assert(e.getMessage.contains("one-byte label encoding"), e.getMessage)
+      df.unpersist()
     }
+  }
+
+  test("QbS.build and QbS.query equal the reference on generated shapes and noisy input") {
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(50), buildExact)
+    assert(res.passed, Pretty.pretty(res))
+  }
+
+  /** Not a vertex of any generated shape: only a self-loop names it. */
+  private val Lonely = -7L
+
+  /** A generated shape (see [[QueryDifferentialSpec]]), its edges as noisy input with
+    * reversed duplicates and self-loops (one of them on an id with no other edge), and
+    * `|R|` as the case gives it.
+    */
+  private val noisyCases: Gen[(QueryDifferentialSpec.Case, Seq[(Long, Long)])] = for {
+    c <- QueryDifferentialSpec.cases
+    dups <- Gen.someOf(c.edges)
+    loops <- Gen.someOf(c.edges.map(_._1).distinct)
+    order <- Gen.long
+  } yield (c, new Random(order).shuffle(
+    c.edges ++ dups.map(_.swap) ++ (loops :+ Lonely).map(v => (v, v))))
+
+  private lazy val buildExact: Prop = Prop.forAllNoShrink(noisyCases) { case (c, input) =>
+    val g = LocalGraph(c.edges.toArray)
+    val idx = QbS.build(spark, GraphOps.fromPairs(spark, input, partitions = 2),
+      numLandmarks = c.landmarks.size)
+    val (labels, metaEdges) = Fixtures.def42(g, idx.landmarks)
+    val ids = g.vertices.toSeq ++ Seq(Lonely, Long.MaxValue)
+    val bad = Seq.newBuilder[String]
+    for (v <- g.vertices) {
+      val want = labels.collect { case (`v`, r, d) => r -> d }.toMap
+      if (idx.engine.labelsOf(v) != want) bad += s"L($v) = ${idx.engine.labelsOf(v)}, Def. 4.2 gives $want"
+    }
+    if (idx.meta.edges.toSet != metaEdges) bad += s"meta-edges ${idx.meta.edges}, Def. 4.2 gives $metaEdges"
+    for (u <- ids; v <- ids) {
+      val a = QbS.query(idx, u, v)
+      if ((a.edges, a.distance) != ((g.spg(u, v), g.distance(u, v))))
+        bad += s"SPG($u,$v): distance ${a.distance} vs ${g.distance(u, v)}, " +
+          s"missing ${g.spg(u, v) -- a.edges}, extra ${a.edges -- g.spg(u, v)}"
+    }
+    idx.edges.unpersist()
+    val out = bad.result()
+    out.isEmpty :| s"${c.name}: ${out.size} mismatches, e.g. ${out.take(3).mkString("; ")}"
   }
 }

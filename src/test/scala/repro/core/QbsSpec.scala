@@ -120,13 +120,8 @@ class QbsSpec extends SparkSpec {
     val hub = (1001L to 1005L).map(leaf => (1000L, leaf)) :+ ((0L, 1000L))
     val local = LocalGraph((cycle ++ hub).toArray)
     val df = GraphOps.materialize(GraphOps.fromPairs(spark, cycle ++ hub))
-    assert(GraphOps.topDegreeLandmarks(df, 1) === Seq(1000L))
-    // With one landmark every label is the plain BFS distance from it and there are
-    // no meta-edges, so the labelling is computed on the driver: the Pregel would
-    // need ~150 supersteps (minutes) to cross the cycle.
-    val labels = local.bfs(1000L).toSeq.collect { case (x, d) if x != 1000L => (x, 1000L, d) }
-    val idx = QbS.assemble(spark, df, new Labelling.Result(spark, Seq(1000L), local.vertices,
-      QueryEngine.labelMatrix(local.vertices, Seq(1000L), labels), Seq.empty))
+    val idx = QbS.build(spark, df, numLandmarks = 1)
+    assert(idx.landmarks === Seq(1000L))
     val (u, v) = (100L, 170L)
     val truth = (100L until 170L).map(i => (i, i + 1)).toSet
     assert(local.spg(u, v) === truth && local.distance(u, v) === Some(70))
