@@ -146,7 +146,7 @@ class IndexBuildSpec extends SparkSpec {
     idx.edges.unpersist()
   }
 
-  test("a 256-vertex path fails the build with the one-byte label encoding's error") {
+  test("a 256-vertex path fails the build with the one-byte label encoding error") {
     // the deepest label is at 255 with one landmark, the meta-edge with one at each end
     for (hubs <- Seq(Seq(0L), Seq(0L, 255L))) {
       val df = GraphOps.fromPairs(spark, pathWithHubs(256, hubs: _*).edges.toSeq)
