@@ -81,9 +81,10 @@ object Experiments {
     val (_, tLabSeq) = timed(Labelling.run(spark, g, landmarks, parallel = false))
     val tQbsP = tCsr + tLm + tLabP + tAsm
     val tQbsSeq = tCsr + tLm + tLabSeq + tAsm
-    log(f"QbS-P build ${tQbsP}%.1fs (labelling ${tLabP}%.1fs; " +
+    // labelling takes milliseconds, and it is the one term the two builds differ in
+    log(f"QbS-P build ${tQbsP}%.1fs (labelling ${tLabP * 1e3}%.1f ms; " +
         f"labels=${qbsIndex.labelEntries} Δ=${qbsIndex.deltaEntries})")
-    log(f"QbS   build ${tQbsSeq}%.1fs (labelling ${tLabSeq}%.1fs)")
+    log(f"QbS   build ${tQbsSeq}%.1fs (labelling ${tLabSeq * 1e3}%.1f ms)")
 
     val local = GraphOps.toLocal(edges)
     val (pplIdx, tPpl) = timed(
@@ -126,7 +127,7 @@ object Experiments {
 
     val pplQ = labelledQueries(pplIdx, withParents = false)
     val parentQ = labelledQueries(parentIdx, withParents = true)
-    log(f"query avg: QbS ${qstats(qbsRuns).avgMs}%.0fms  BiBFS ${qstats(bibfsRuns).avgMs}%.0fms")
+    log(f"query avg: QbS ${qstats(qbsRuns).avgMs}%.3f ms  BiBFS ${qstats(bibfsRuns).avgMs}%.3f ms")
 
     // release per-dataset caches
     Seq(edges, qbsIndex.edges).foreach(_.unpersist(blocking = false))

@@ -28,6 +28,18 @@ final class MetaGraph(val landmarks: Seq[Long], metaEdges: Seq[(Long, Long, Int)
     d
   }
 
+  /** The number of landmarks; positions are `0 until size`, in `landmarks` order. */
+  private[core] def size: Int = n
+
+  /** The position of landmark `r`. */
+  private[core] def position(r: Long): Option[Int] = idx.get(r)
+
+  /** `d_M` between the landmarks at positions `i` and `j`; -1 if they are disconnected. */
+  private[core] def distAt(i: Int, j: Int): Int = {
+    val d = dist(i)(j)
+    if (d < INF) d else -1
+  }
+
   /** `d_M(r, r')`; None if `r`, `r'` are in different components of `M`. */
   def distance(r: Long, rp: Long): Option[Int] =
     for {
@@ -52,6 +64,9 @@ final class MetaGraph(val landmarks: Seq[Long], metaEdges: Seq[(Long, Long, Int)
       }.distinct
     }
   }
+
+  /** [[spgEdges]] between the landmarks at positions `i` and `j`. */
+  private[core] def spgAt(i: Int, j: Int): Seq[(Long, Long)] = spg(i)(j)
 
   /** Canonical meta edges lying on at least one shortest `r`–`r'` path in `M`. */
   def spgEdges(r: Long, rp: Long): Seq[(Long, Long)] =

@@ -91,8 +91,7 @@ object QbS {
       else if (e.isLandmark(u) || e.isLandmark(v))
         BiSearch.bibfs(e.graph, u, v).copy(usedReverse = false, usedRecover = true)
       else
-        BiSearch.guided(e.sparsified,
-          Sketch.compute(index.meta, u, v, e.labelsOf(u), e.labelsOf(v)))
+        BiSearch.guided(e.sparsified, e.sketch(index.meta, u, v))
     res.copy(millis = (System.nanoTime() - t0) / 1e6)
   }
 

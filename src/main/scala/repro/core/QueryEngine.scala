@@ -2,8 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.LongType
-import repro.graph.{Csr, GraphOps, Traversal}
-import scala.collection.mutable
+import repro.graph.{Csr, GraphOps}
 
 /** The driver-local QbS query engine: the index collected into flat arrays, so that a
   * query runs no Spark job. Its layout follows the paper's Table-3 encoding and the
@@ -16,24 +15,40 @@ import scala.collection.mutable
   *  - `rank`: each vertex's position in `landmarks`, -1 for non-landmarks;
   *  - `label`: the `|V| × |R|` byte matrix (`|R|·8` bits per vertex), `δ_vr` at
   *    `v·|R| + rank(r)`, with 255 meaning "no label";
-  *  - `deltaEdges`: `Δ` as one array of dense endpoint pairs per canonical meta-edge.
+  *  - `deltaAt`: `Δ` as one array of dense endpoint pairs per meta-edge, at
+  *    `k·|R| + k'` and `k'·|R| + k` for the landmarks at positions `k` and `k'`
+  *    (null for a pair that is not a meta-edge).
   *
   * Build it around a [[Labelling.Result]], whose CSR and matrix it takes as they are;
   * from plain label rows; or with [[QueryEngine.collect]] from an index's edges and
   * labels. Each way computes `Δ` from the label matrix and the meta-edges
   * (`QueryEngine.deltaOf`).
   */
-final class QueryEngine private (g: Csr, lms: Array[Long], rank: Array[Int], label: Array[Byte],
-                                 deltaEdges: Map[(Long, Long), Array[Int]]) {
-
-  val labelEntries: Long = label.count(_ != QueryEngine.NoLabel).toLong
-  val deltaEntries: Long = deltaEdges.valuesIterator.map(_.length / 2L).sum
+final class QueryEngine private (g: Csr, landmarks: Seq[Long], rank: Array[Int],
+                                 label: Array[Byte], deltaAt: Array[Array[Int]]) {
 
   private val ids = g.ids
   private val offsets = g.offsets
   private val adj = g.adj
-  private val numR = lms.length
-  private val rankOf: Map[Long, Int] = lms.zipWithIndex.toMap
+  private val numR = landmarks.size
+  /** The dense index of each landmark, by position. */
+  private val lmIndex: Array[Int] = landmarks.map(g.indexOf).toArray
+  /** An empty label row, for ids that are not vertices. */
+  private val noLabels = Array.fill(numR)(QueryEngine.NoLabel)
+
+  /** The meta-edges' `Δ` arrays, each once, with the landmark positions `k < k'`. */
+  private def metaDeltas: Iterator[(Int, Int, Array[Int])] =
+    for (k <- Iterator.range(0, numR); kp <- Iterator.range(k + 1, numR)
+         if deltaAt(k * numR + kp) != null) yield (k, kp, deltaAt(k * numR + kp))
+
+  val labelEntries: Long = label.count(_ != QueryEngine.NoLabel).toLong
+  val deltaEntries: Long = metaDeltas.map(_._3.length / 2L).sum
+
+  /** The search core's scratch, one per thread that queries this engine: 32 bytes per
+    * vertex (`BiSearch.Scratch`), allocated on the thread's first query and reused, so
+    * a query does no work that grows with `|V|`.
+    */
+  private val scratch = ThreadLocal.withInitial[BiSearch.Scratch](() => new BiSearch.Scratch(g.numV))
 
   private def indexOf(v: Long): Int = g.indexOf(v)
 
@@ -49,62 +64,96 @@ final class QueryEngine private (g: Csr, lms: Array[Long], rank: Array[Int], lab
     val i = indexOf(v)
     val out = Map.newBuilder[Long, Int]
     if (i >= 0)
-      for (k <- 0 until numR) {
+      for ((r, k) <- landmarks.zipWithIndex) {
         val d = label(i * numR + k) & 0xff
-        if (d != 255) out += lms(k) -> d
+        if (d != 255) out += r -> d
       }
     out.result()
   }
 
-  private def expand(minus: Boolean, frontier: collection.Set[Long],
-                     f: (Long, Long) => Unit): Unit =
-    frontier.foreach { w =>
-      val i = indexOf(w)
-      if (i >= 0 && !(minus && rank(i) >= 0)) {
-        var k = offsets(i)
-        while (k < offsets(i + 1)) {
-          val x = adj(k)
-          if (!minus || rank(x) < 0) f(w, ids(x))
-          k += 1
+  /** The sketch of `SPG(u, v)` (Algorithm 3), straight from the two label rows;
+    * `meta` must order the landmarks as this engine does.
+    */
+  def sketch(meta: MetaGraph, u: Long, v: Long): Sketch.S = {
+    require(meta.landmarks == landmarks, "the meta-graph orders the landmarks differently")
+    val (iu, iv) = (indexOf(u), indexOf(v))
+    Sketch.ofRows(meta, u, v, if (iu >= 0) label else noLabels, math.max(iu, 0) * numR,
+      if (iv >= 0) label else noLabels, math.max(iv, 0) * numR)
+  }
+
+  /** The `Δ` array of the meta-edge between landmarks `r` and `r'`, or null. */
+  private def deltaBetween(r: Long, rp: Long): Array[Int] = {
+    val (i, j) = (indexOf(r), indexOf(rp))
+    if (i < 0 || j < 0 || rank(i) < 0 || rank(j) < 0) null
+    else deltaAt(rank(i) * numR + rank(j))
+  }
+
+  /** `G` (`minus = false`) or `G⁻` (`true`, landmarks skipped) over the CSR's dense
+    * indices, with the label matrix and `Δ`.
+    */
+  private final class Arrays(minus: Boolean) extends BiSearch.Labelled {
+    def handle(v: Long): Int = math.max(indexOf(v), -1)
+    def id(h: Int): Long = ids(h)
+    def size: Int = ids.length
+    def scratch: BiSearch.Scratch = QueryEngine.this.scratch.get
+
+    def expand(vs: Array[Int], from: Int, until: Int, out: BiSearch.Ints): Unit = {
+      var i = from
+      while (i < until) {
+        val w = vs(i)
+        if (!(minus && rank(w) >= 0)) {
+          var k = offsets(w)
+          val end = offsets(w + 1)
+          while (k < end) {
+            val x = adj(k)
+            if (!minus || rank(x) < 0) { out += w; out += x }
+            k += 1
+          }
         }
+        i += 1
       }
     }
+
+    def landmarks: Seq[Long] = QueryEngine.this.landmarks
+    def landmark(k: Int): Int = lmIndex(k)
+
+    def label(w: Int, k: Int): Int = {
+      val d = QueryEngine.this.label(w * numR + k) & 0xff
+      if (d == 255) -1 else d
+    }
+
+    def remote: Boolean = false
+    def prefetch(reqs: BiSearch.Ints): Unit = ()
+
+    def delta(sketch: Sketch.S, out: EdgeSet.Builder): Unit =
+      sketch.metaEdgeIterator.foreach { case (r, rp) =>
+        val e = deltaBetween(r, rp)
+        var j = 0
+        while (e != null && j < e.length) { out.add(ids(e(j)), ids(e(j + 1))); j += 2 }
+      }
+  }
+
+  /** The canonical `Δ` edges of meta-edge `(r, r')` (either orientation); none if it
+    * is not a meta-edge.
+    */
+  def delta(r: Long, rp: Long): Iterator[(Long, Long)] = {
+    val e = Option(deltaBetween(r, rp)).getOrElse(Array.emptyIntArray)
+    Iterator.range(0, e.length, 2).map(j => (ids(e(j)), ids(e(j + 1))))
+  }
 
   /** `G`, as Bi-BFS and landmark-endpoint queries search it. */
-  val graph: Traversal.Graph = new Traversal.Graph {
-    def expand(frontier: collection.Set[Long])(f: (Long, Long) => Unit): Unit =
-      QueryEngine.this.expand(minus = false, frontier, f)
-  }
+  val graph: BiSearch.Graph = new Arrays(minus = false)
 
   /** `G⁻` with the labels and `Δ`: the guided search's substrate. */
-  val sparsified: BiSearch.Substrate = new BiSearch.Substrate {
-    def expand(frontier: collection.Set[Long])(f: (Long, Long) => Unit): Unit =
-      QueryEngine.this.expand(minus = true, frontier, f)
-
-    def labels(reqs: Seq[(Long, collection.Set[Long])]): collection.Map[(Long, Long), Int] = {
-      val out = mutable.HashMap.empty[(Long, Long), Int]
-      for ((r, ws) <- reqs; k <- rankOf.get(r); w <- ws) {
-        val i = indexOf(w)
-        if (i >= 0) {
-          val d = label(i * numR + k) & 0xff
-          if (d != 255) out((r, w)) = d
-        }
-      }
-      out
-    }
-
-    def delta(metaEdges: Set[(Long, Long)]): Iterator[(Long, Long)] =
-      metaEdges.iterator.flatMap { case (a, b) =>
-        val e = deltaEdges.getOrElse((math.min(a, b), math.max(a, b)), Array.emptyIntArray)
-        Iterator.range(0, e.length, 2).map(j => (ids(e(j)), ids(e(j + 1))))
-      }
-  }
+  val sparsified: BiSearch.Labelled = new Arrays(minus = true)
 
   /** `Δ` as a DataFrame `(r, rp, src, dst)`: a view over driver-side rows, no job. */
   private[core] def deltaDf(spark: SparkSession): DataFrame = {
-    val (ids, deltaEdges) = (this.ids, this.deltaEdges)
+    val (ids, lms) = (this.ids, landmarks.toArray)
+    val deltas = metaDeltas.toVector
     GraphOps.view(spark, Seq("r", "rp", "src", "dst").map(_ -> LongType): _*) { () =>
-      deltaEdges.iterator.flatMap { case ((r, rp), e) =>
+      deltas.iterator.flatMap { case (k, kp, e) =>
+        val (r, rp) = (math.min(lms(k), lms(kp)), math.max(lms(k), lms(kp)))
         Iterator.range(0, e.length, 2).map(j => Row(r, rp, ids(e(j)), ids(e(j + 1))))
       }
     }
@@ -165,7 +214,7 @@ object QueryEngine {
     * satisfies both, since `δ_L(x, r) + δ_L(x, r') ≥ σ` for every `x`.
     */
   private def deltaOf(g: Csr, rank: Array[Int], label: Array[Byte], lms: Array[Long],
-                      metaEdges: Seq[(Long, Long, Int)]): Map[(Long, Long), Array[Int]] = {
+                      metaEdges: Seq[(Long, Long, Int)]): Array[Array[Int]] = {
     val numR = lms.length
     val rankOf = lms.zipWithIndex.toMap
     val inf = Int.MaxValue / 2
@@ -176,7 +225,8 @@ object QueryEngine {
         if (d == 255) inf else d
       }
     val buf = new Array[Int](g.adj.length) // one meta-edge's Δ has at most |E| edges
-    metaEdges.map { case (r, rp, sigma) =>
+    val deltaAt = new Array[Array[Int]](numR * numR)
+    for ((r, rp, sigma) <- metaEdges) {
       val (k, kp) = (rankOf(r), rankOf(rp))
       var n = 0
       var a = 0
@@ -194,15 +244,17 @@ object QueryEngine {
         }
         a += 1
       }
-      (math.min(r, rp), math.max(r, rp)) -> java.util.Arrays.copyOf(buf, n)
-    }.toMap
+      deltaAt(k * numR + kp) = java.util.Arrays.copyOf(buf, n)
+      deltaAt(kp * numR + k) = deltaAt(k * numR + kp)
+    }
+    deltaAt
   }
 
   /** The engine over `g` with label matrix `label`, and `Δ` computed from it. */
   private def layout(g: Csr, landmarks: Seq[Long], label: Array[Byte],
                      metaEdges: Seq[(Long, Long, Int)]): QueryEngine = {
-    val (lms, rank) = (landmarks.toArray, g.ranks(landmarks))
-    new QueryEngine(g, lms, rank, label, deltaOf(g, rank, label, lms, metaEdges))
+    val rank = g.ranks(landmarks)
+    new QueryEngine(g, landmarks, rank, label, deltaOf(g, rank, label, landmarks.toArray, metaEdges))
   }
 
   /** Lay out an engine from plain rows.

@@ -3,28 +3,11 @@ package repro.graph
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.{broadcast, col}
 
-/** Frontier expansion, the one graph operation online searches need.
-  *
-  * A [[Traversal.Graph]] is a substrate the bidirectional search core
-  * (`repro.core.BiSearch`) runs on. Two exist: the driver-local arrays of
-  * `repro.core.QueryEngine`, which answer `QbS.query`, and [[Traversal.Frames]], which
-  * expands a frontier with one DataFrame join per level: the (small) frontier is
+/** Frontier expansion on DataFrames, the one graph operation the DataFrame substrate of
+  * the search core (`repro.core.GuidedSearch.Frames`) needs: the (small) frontier is
   * broadcast against the (large, cached) symmetric edge relation.
   */
 object Traversal {
-
-  /** An undirected graph that can expand a frontier. */
-  trait Graph {
-
-    /** Calls `f(w, x)` once per symmetric edge `(w, x)` with `w ∈ frontier`. */
-    def expand(frontier: collection.Set[Long])(f: (Long, Long) => Unit): Unit
-  }
-
-  /** The DataFrame-join substrate over cached symmetric edges. */
-  class Frames(symEdges: DataFrame) extends Graph {
-    def expand(frontier: collection.Set[Long])(f: (Long, Long) => Unit): Unit =
-      neighborEdges(symEdges, frontier).foreach { case (w, x) => f(w, x) }
-  }
 
   /** All `(w, neighbor)` pairs with `w ∈ frontier`, via one broadcast join against
     * `symEdges`. Result size is the total degree of the frontier; an empty frontier

@@ -111,8 +111,7 @@ class IndexBuildSpec extends SparkSpec {
       for (v <- local.vertices :+ 999L) assert(collected.labelsOf(v) === e.labelsOf(v), s"L($v)")
       assert(built.meta.edges.nonEmpty)
       for ((r, rp, _) <- built.meta.edges)
-        assert(collected.sparsified.delta(Set((r, rp))).toSet ===
-          e.sparsified.delta(Set((r, rp))).toSet, s"Δ($r,$rp)")
+        assert(collected.delta(r, rp).toSet === e.delta(r, rp).toSet, s"Δ($r,$rp)")
       assert((collected.labelEntries, collected.deltaEntries) ===
         ((e.labelEntries, e.deltaEntries)))
       val vs = local.vertices

@@ -9,10 +9,12 @@ class QueryEngineSpec extends AnyFunSuite {
 
   private lazy val engine = Fixtures.fig4Engine
 
-  private def expanded(g: repro.graph.Traversal.Graph, frontier: Set[Long]): Set[(Long, Long)] = {
-    val out = mutable.Set.empty[(Long, Long)]
-    g.expand(frontier)((w, x) => out += ((w, x)))
-    out.toSet
+  /** The edges a substrate yields for `frontier`, as vertex ids. */
+  private def expanded(g: BiSearch.Graph, frontier: Set[Long]): Set[(Long, Long)] = {
+    val vs = frontier.toArray.map(g.handle).filter(_ >= 0)
+    val out = new BiSearch.Ints
+    g.expand(vs, 0, vs.length, out)
+    (0 until out.n by 2).map(i => (g.id(out.a(i)), g.id(out.a(i + 1)))).toSet
   }
 
   test("fig4: labels read back as Figure 4(c); landmarks and unknown ids have none") {
@@ -36,14 +38,26 @@ class QueryEngineSpec extends AnyFunSuite {
   }
 
   test("fig4: label and Δ fetches") {
-    val got = engine.sparsified.labels(Seq(1L -> Set(4L, 5L, 8L), 3L -> Set(11L, 99L)))
-    assert(got === Map((1L, 4L) -> 1, (1L, 5L) -> 1, (3L, 11L) -> 2))
+    val g = engine.sparsified
+    def label(r: Long, w: Long) = g.label(g.handle(w), Fixtures.fig4Landmarks.indexOf(r))
+    assert(Seq(label(1L, 4L), label(1L, 5L), label(1L, 8L), label(3L, 11L)) === Seq(1, 1, -1, 2))
+    assert(Fixtures.fig4Landmarks.indices.map(k => g.id(g.landmark(k))) === Fixtures.fig4Landmarks)
     // Δ computed from the labels and meta-edges: (1,2) -> (1,2); (2,3) -> (2,3);
     // (1,3) -> {(1,4), (3,4)}
-    assert(engine.sparsified.delta(Set((1L, 3L), (1L, 2L))).toSet ===
+    assert((engine.delta(1L, 3L) ++ engine.delta(1L, 2L)).toSet ===
       Set((1L, 4L), (3L, 4L), (1L, 2L)))
-    assert(engine.sparsified.delta(Set((3L, 2L))).toList === List((2L, 3L)))
-    assert(engine.sparsified.delta(Set((2L, 99L))).isEmpty)
+    assert(engine.delta(3L, 2L).toList === List((2L, 3L)))
+    assert(engine.delta(2L, 99L).isEmpty)
+    // the substrate's Δ fetch: SPG(6, 11)'s sketch has all three meta-edges; SPG(8, 9)'s
+    // goes through landmark 2 alone, so it has none
+    val meta = new MetaGraph(Fixtures.fig4Landmarks, Fixtures.fig4MetaEdges.toSeq)
+    def fetched(u: Long, v: Long) = {
+      val out = new EdgeSet.Builder
+      g.delta(engine.sketch(meta, u, v), out)
+      out.result()
+    }
+    assert(fetched(6L, 11L) === Set((1L, 4L), (3L, 4L), (1L, 2L), (2L, 3L)))
+    assert(fetched(8L, 9L).isEmpty)
   }
 
   test("label distances up to 254 round-trip through the byte encoding") {
