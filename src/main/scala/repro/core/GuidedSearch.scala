@@ -9,10 +9,10 @@ import scala.collection.mutable
   * substrate.
   *
   * `QbS.query` runs the same search ([[BiSearch.guided]]) on the driver-local arrays
-  * of [[QueryEngine]]. This entry point keeps the index's DataFrames as the substrate:
-  * `G⁻ = G[V \ R]` as symmetric edges (frontiers expand via broadcast joins), the
-  * label relation and `Δ`. It answers exactly as `QbS.query` does, with the same
-  * counters, at about one Spark job per level and fetch.
+  * of [[QueryEngine]]. This entry point keeps the index's cached DataFrames as the
+  * substrate: `G⁻ = G[V \ R]` as symmetric edges (frontiers expand via broadcast
+  * joins), the label relation and `Δ`. It answers exactly as `QbS.query` does, with
+  * the same counters, at about one Spark job per level and fetch.
   */
 object GuidedSearch {
 
@@ -47,7 +47,8 @@ object GuidedSearch {
   }
 
   /** The DataFrame substrate of the guided search: cached `G⁻` edges, labels
-    * `(v, lm, dist)` and `Δ` `(r, rp, src, dst)`, with landmark positions as in `lms`.
+    * `(v, lm, dist)` and `Δ` `(r, rp, src, dst)`, with landmark positions as in
+    * `landmarks`.
     */
   private final class LabelledFrames(gMinusSym: DataFrame, labelsDf: DataFrame,
                                      deltaDf: DataFrame, val landmarks: Seq[Long])
